@@ -48,14 +48,15 @@ class Measurement:
 
     @staticmethod
     def make(v, bus_ids, p_pcc, timestamp, flags=()) -> "Measurement":
+        """Measurement whose channels are valid exactly where they are finite."""
         v = np.asarray(v, dtype=float)
         return Measurement(
             v=v,
             bus_ids=tuple(bus_ids),
             p_pcc=float(p_pcc),
             timestamp=float(timestamp),
-            v_valid=np.ones(v.shape[0], dtype=bool),
-            pcc_valid=True,
+            v_valid=np.isfinite(v),
+            pcc_valid=bool(np.isfinite(p_pcc)),
             flags=tuple(flags),
         )
 
@@ -163,8 +164,8 @@ def assemble_projection_qp(
     p = sens.n_setpoints
     if u.shape != (p,):
         raise ValueError(f"setpoint vector must have shape ({p},)")
-    if y.bus_ids != cfg.monitored or y.bus_ids != sens.monitored_buses:
-        raise InvalidMeasurementError("measurement buses do not match the monitored set")
+    if not (y.bus_ids == cfg.monitored == sens.monitored_buses) or y.v.shape != (len(y.bus_ids),):
+        raise InvalidMeasurementError("measurement buses or voltages do not match the monitored set")
 
     lb_box = cfg.u_min - u
     ub_box = cfg.u_max - u
@@ -228,15 +229,16 @@ def controller_step(
 
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
-    exactly; holds with an alarm if the measurement is invalid or the
-    projection has no feasible direction even after softening the tracking
-    row.
+    exactly; holds with an alarm if the measurement is invalid (a
+    non-finite or invalid channel, or buses that do not match the monitored
+    set) or the projection has no feasible direction even after softening
+    the tracking row.
     """
     u = np.asarray(u, dtype=float)
-    if not y.all_valid:
+    try:
+        problem = assemble_projection_qp(u, y, cfg)
+    except InvalidMeasurementError:
         return u.copy(), _held_record(u, y, cfg, "held_invalid_measurement")
-
-    problem = assemble_projection_qp(u, y, cfg)
     sol: QpSolution = solve_qp(problem)
     if sol.status != STATUS_OPTIMAL:
         return u.copy(), _held_record(u, y, cfg, f"held_{sol.status}")

@@ -337,6 +337,10 @@ class DeviceSet:
             ub[2 * i + 1] = f.q_max_var / s_base_va
         return lb, ub
 
+    def static_loads_pu(self, s_base_va: float) -> np.ndarray:
+        """(P, Q) consumption per load as described, shape ``(n_loads, 2)``."""
+        return np.array([[ld.p_w, ld.q_var] for ld in self.loads]).reshape(-1, 2) / s_base_va
+
 
 def build_devices(spec: NetworkSpec, net: NetworkModel) -> DeviceSet:
     """Validate device rows against the network and group them by role."""
@@ -370,31 +374,47 @@ def build_devices(spec: NetworkSpec, net: NetworkModel) -> DeviceSet:
     return DeviceSet(tuple(fpus), tuple(legacy), tuple(loads), tuple(evs))
 
 
-def base_injections(net: NetworkModel, devices: DeviceSet) -> np.ndarray:
-    """Static per-PQ-bus (P, Q) injections in per-unit.
+def base_injections(
+    net: NetworkModel, devices: DeviceSet, *,
+    loads_pu: np.ndarray | None = None, ev_pu: np.ndarray | None = None,
+    droop_q: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-PQ-bus (P, Q) injections of every uncontrolled device, per-unit.
 
-    Loads enter negatively, legacy inverters with their fixed active feed-in
-    and zero reactive power. Controllable setpoints, EV charging and droop
-    response are added on top by the caller.
+    Loads enter negatively with ``loads_pu`` (default: as described), legacy
+    inverters with their fixed active feed-in and reactive output
+    ``droop_q`` (default: zero), EV chargers with their nonpositive power
+    ``ev_pu`` (default: idle). Controllable setpoints are added on top by
+    :func:`add_setpoint_injections`.
     """
-    inj = np.zeros((len(net.pq_ids), 2))
     s = net.s_base_va
-    for ld in devices.loads:
-        r = net.pq_row(ld.bus)
-        inj[r, 0] -= ld.p_w / s
-        inj[r, 1] -= ld.q_var / s
-    for inv in devices.legacy:
-        inj[net.pq_row(inv.bus), 0] += inv.p_fixed_w / s
-    return inj
+    loads_pu = devices.static_loads_pu(s) if loads_pu is None else loads_pu
+    legacy = np.zeros((len(devices.legacy), 2))
+    legacy[:, 0] = [inv.p_fixed_w / s for inv in devices.legacy]
+    if droop_q is not None:
+        legacy[:, 1] = droop_q
+    ev = np.zeros((len(devices.ev_points), 2))
+    if ev_pu is not None:
+        ev[:, 0] = ev_pu
+    buses = [d.bus for d in devices.loads + devices.legacy + devices.ev_points]
+    return _sum_on_buses(net, buses, np.concatenate([-np.reshape(loads_pu, (-1, 2)), legacy, ev]))
+
+
+def pq_positions(net: NetworkModel, buses: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Positions of each bus's P and Q in the stacked vector ``[P_pq; Q_pq]``:
+    entries ``2k`` and ``2k + 1`` belong to ``buses[k]``."""
+    rows = np.array([net.pq_row(b) for b in buses], dtype=int)
+    return (rows[:, None] + np.array([0, len(net.pq_ids)])).ravel()
+
+
+def _sum_on_buses(net: NetworkModel, buses: tuple[int, ...] | list[int], pq: np.ndarray) -> np.ndarray:
+    """Per-device (P, Q) pairs ``pq`` summed onto their buses, shape ``(n_pq, 2)``."""
+    n_pq = len(net.pq_ids)
+    return np.bincount(pq_positions(net, buses), np.ravel(pq), 2 * n_pq).reshape(2, n_pq).T
 
 
 def add_setpoint_injections(
     inj: np.ndarray, net: NetworkModel, devices: DeviceSet, u_pu: np.ndarray
 ) -> np.ndarray:
     """Return a copy of ``inj`` with controllable setpoints ``u_pu`` added."""
-    out = np.array(inj, copy=True)
-    for i, f in enumerate(devices.controllables):
-        r = net.pq_row(f.bus)
-        out[r, 0] += u_pu[2 * i]
-        out[r, 1] += u_pu[2 * i + 1]
-    return out
+    return inj + _sum_on_buses(net, devices.fpu_buses, u_pu)

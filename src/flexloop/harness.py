@@ -29,11 +29,13 @@ from .plant import (
     PlantConfig,
     PlantDivergedError,
     Scenario,
+    droop_curves,
+    qv_droop_slope,
     schedule,
     steady_state_response,
     validate_scenario,
 )
-from .sensitivity import compute_sensitivity
+from .sensitivity import compute_sensitivity, linearize
 
 SETTLE_TOL_KW = 0.1  # "flexibility provided"
 STEADY_TOL_KW = 0.01  # "without tracking error"
@@ -414,16 +416,16 @@ def reference_opf(
     seed: int = 0,
     step: float = 0.5,
     max_iter: int = 200,
-    fd_step: float = 1e-4,
 ) -> OpfResult:
     """Minimize total squared feed-in subject to the band, the device boxes
     and exact PCC tracking, against the true steady-state plant response.
 
-    Projected-gradient descent with locally refreshed finite-difference
-    linearizations, restarted from random interior points; the best feasible
-    stationary point wins. Raises :class:`InfeasibleRequestError` with the
-    closest attainable PCC power and the binding limits when the request is
-    out of reach.
+    Projected-gradient descent with locally refreshed analytic
+    linearizations (the legacy Q(V) slopes folded into the power-flow
+    Jacobian at the droop fixed point), restarted from random interior
+    points; the best feasible stationary point wins. Raises
+    :class:`InfeasibleRequestError` with the closest attainable PCC power
+    and the binding limits when the request is out of reach.
     """
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
@@ -431,28 +433,21 @@ def reference_opf(
     lb, ub = devices.setpoint_bounds_pu(net.s_base_va)
     if v_min is None or v_max is None:
         v_min, v_max = _default_band(net)
+    curves = droop_curves(net, devices) if droop_enabled else ()
 
     def respond(u, q0=None):
-        # tight droop tolerance so finite differences are noise-free
+        # tight droop tolerance: the linearization assumes q = Q(V) exactly; at the
+        # plant's 1e-8 the stationarity certificate degrades ~20x on a droop ramp
         sol, q, _ = steady_state_response(
             net, devices, u,
             loads_pu=loads_pu, ev_pu=ev_pu, slack_v=slack_v,
             droop_enabled=droop_enabled, droop_q0=q0, tol=1e-13, max_iter=200,
         )
-        return sol.v_mag[1:].copy(), sol.pcc_power_pu, q
+        return sol.v_mag[1:].copy(), sol.pcc_power_pu, q, sol
 
-    def local_jacobian(u, q0):
-        dv = np.zeros((len(net.pq_ids), p))
-        dpcc = np.zeros(p)
-        for j in range(p):
-            vals = []
-            for sign in (+1.0, -1.0):
-                up = u.copy()
-                up[j] += sign * fd_step
-                vals.append(respond(up, q0))
-            dv[:, j] = (vals[0][0] - vals[1][0]) / (2 * fd_step)
-            dpcc[j] = (vals[0][1] - vals[1][1]) / (2 * fd_step)
-        return dv, dpcc
+    def local_jacobian(sol):
+        slopes = [qv_droop_slope(c, sol.v_mag[i]) for c, i in curves] if curves else None
+        return linearize(net, devices, sol, net.pq_ids, slopes)
 
     def descend(u_start):
         u = np.clip(u_start, lb, ub)
@@ -464,7 +459,7 @@ def reference_opf(
         stall = 0
         for _ in range(max_iter):
             try:
-                v, pcc, q0 = respond(u, q0)
+                v, pcc, q0, pf = respond(u, q0)
             except PlantDivergedError:
                 return None
             # no progress in tracking or objective: stuck at a saturated
@@ -480,7 +475,7 @@ def reference_opf(
             best_gap = min(best_gap, gap)
             best_phi = min(best_phi, phi)
             if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
-                dv, dpcc = local_jacobian(u, q0)
+                dv, dpcc = local_jacobian(pf)
                 u_lin = u.copy()
             qp = QpProblem(
                 g=2.0 * u,
@@ -503,12 +498,12 @@ def reference_opf(
                     u = u_new
                     break
                 # converged on a stale linearization: refresh and keep going
-                dv, dpcc = local_jacobian(u, q0)
+                dv, dpcc = local_jacobian(pf)
                 u_lin = u.copy()
                 continue
             u = u_new
-        v, pcc, q0 = respond(u, q0)
-        dv, dpcc = local_jacobian(u, q0)
+        v, pcc, _, pf = respond(u, q0)
+        dv, dpcc = local_jacobian(pf)
         stat, binding = _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max)
         return u, float(np.sum(u * u)), pcc, stat, binding
 
@@ -573,9 +568,9 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
     u_lin = None
     dv = dpcc = None
     for _ in range(150):
-        v, pcc, q0 = respond(u, q0)
+        v, pcc, q0, pf = respond(u, q0)
         if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
-            dv, dpcc = local_jacobian(u, q0)
+            dv, dpcc = local_jacobian(pf)
             u_lin = u.copy()
         gap = pcc - p_set_pu
         if abs(gap) < 1e-9:
@@ -598,7 +593,7 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
             u = u_new
             break
         u = u_new
-    v, pcc, q0 = respond(u, q0)
+    v, pcc, _, _ = respond(u, q0)
     binding = []
     for j in range(p):
         if u[j] >= ub[j] - 1e-9:

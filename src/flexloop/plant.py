@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import Measurement
-from .grid import DeviceSet, NetworkModel
+from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections
 from .powerflow import PowerFlowSolution, solve_power_flow
 
 DROOP_TOL = 1e-8
@@ -74,6 +74,25 @@ def qv_droop(curve: DroopCurve, v: float) -> float:
         frac = min(1.0, (curve.v_db_lo - v) / (curve.v_db_lo - curve.v_lo))
         return curve.q_max * frac
     return 0.0
+
+
+def qv_droop_slope(curve: DroopCurve, v: float) -> float:
+    """Derivative of :func:`qv_droop`: the ramp's slope on a ramp, else 0."""
+    if curve.v_db_hi < v < curve.v_hi:
+        return -curve.q_max / (curve.v_hi - curve.v_db_hi)
+    if curve.v_lo < v < curve.v_db_lo:
+        return -curve.q_max / (curve.v_db_lo - curve.v_lo)
+    return 0.0
+
+
+def droop_curves(net: NetworkModel, devices: DeviceSet) -> tuple[tuple[DroopCurve, int], ...]:
+    """Per legacy inverter, its per-unit Q(V) law and its bus's index into
+    the full bus set, in device order."""
+    s = net.s_base_va
+    return tuple(
+        (DroopCurve(inv.q_max_var / s, inv.v_db_lo, inv.v_db_hi, inv.v_lo, inv.v_hi), net.index(inv.bus))
+        for inv in devices.legacy
+    )
 
 
 @dataclass(frozen=True)
@@ -207,56 +226,26 @@ def steady_state_response(
     inverter). Raises :class:`PlantDivergedError` if the power flow itself
     fails.
     """
-    n_legacy = len(devices.legacy)
-    if loads_pu is None:
-        loads_pu = np.array([[ld.p_w, ld.q_var] for ld in devices.loads]) / net.s_base_va
-        loads_pu = loads_pu.reshape(len(devices.loads), 2)
-    if ev_pu is None:
-        ev_pu = np.zeros(len(devices.ev_points))
-    q = np.zeros(n_legacy) if droop_q0 is None else np.array(droop_q0, dtype=float)
-    if not droop_enabled:
-        q = np.zeros(n_legacy)
-
-    curves = tuple(
-        DroopCurve(
-            q_max=inv.q_max_var / net.s_base_va,
-            v_db_lo=inv.v_db_lo,
-            v_db_hi=inv.v_db_hi,
-            v_lo=inv.v_lo,
-            v_hi=inv.v_hi,
-        )
-        for inv in devices.legacy
-    )
-    droop_rows = [net.pq_row(inv.bus) for inv in devices.legacy]
+    if droop_q0 is None or not droop_enabled:
+        droop_q0 = np.zeros(len(devices.legacy))
+    q = np.array(droop_q0, dtype=float)
 
     def _solve(q_vec: np.ndarray) -> PowerFlowSolution:
-        inj = np.zeros((len(net.pq_ids), 2))
-        for ld, row in zip(loads_pu, (net.pq_row(d.bus) for d in devices.loads)):
-            inj[row, 0] -= ld[0]
-            inj[row, 1] -= ld[1]
-        for inv, qv in zip(devices.legacy, q_vec):
-            r = net.pq_row(inv.bus)
-            inj[r, 0] += inv.p_fixed_w / net.s_base_va
-            inj[r, 1] += qv
-        for ch, pv in zip(devices.ev_points, ev_pu):
-            inj[net.pq_row(ch.bus), 0] += pv
-        for i in range(len(devices.controllables)):
-            r = net.pq_row(devices.controllables[i].bus)
-            inj[r, 0] += u_pu[2 * i]
-            inj[r, 1] += u_pu[2 * i + 1]
-        sol = solve_power_flow(net, inj, slack_v)
+        inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu, droop_q=q_vec)
+        sol = solve_power_flow(net, add_setpoint_injections(inj, net, devices, u_pu), slack_v)
         if not sol.converged:
             raise PlantDivergedError(
                 f"power flow did not converge (max mismatch {sol.max_mismatch_pu:.3e} p.u.)"
             )
         return sol
 
-    if not droop_enabled or n_legacy == 0:
+    if not droop_enabled or not devices.legacy:
         return _solve(q), q, True
 
+    curves = droop_curves(net, devices)
     sol = _solve(q)
     for _ in range(max_iter):
-        q_new = np.array([qv_droop(c, sol.v_mag[r + 1]) for c, r in zip(curves, droop_rows)])
+        q_new = np.array([qv_droop(c, sol.v_mag[i]) for c, i in curves])
         if np.max(np.abs(q_new - q), initial=0.0) < tol:
             return sol, q_new, True
         q = q_new
@@ -283,16 +272,13 @@ class Plant:
         """
         cfg = self.config
         u0 = np.clip(np.asarray(u0, dtype=float), self._lb, self._ub)
-        loads = np.array(
-            [[ld.p_w, ld.q_var] for ld in self.devices.loads], dtype=float
-        ).reshape(len(self.devices.loads), 2) / self.net.s_base_va
         queue_depth = max(0, cfg.actuation_delay - 1)
         state = PlantState(
             t=-cfg.t_sample_s,
             step_index=0,
             queue=tuple(u0.copy() for _ in range(queue_depth)),
             applied=u0.copy(),
-            loads=loads,
+            loads=self.devices.static_loads_pu(self.net.s_base_va),
             ev_power=np.zeros(len(self.devices.ev_points)),
             slack_v=cfg.slack_v0,
             droop_q=np.zeros(len(self.devices.legacy)),

@@ -70,10 +70,11 @@ def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     return p, q
 
 
-def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
-    """Analytic mismatch Jacobian restricted to the PQ unknowns.
+def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of every bus injection with respect to the PQ unknowns.
 
-    Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
+    Ordering: rows are [dP; dQ] over the full bus set (slack first), columns
+    [d theta_pq; d V_pq]. Row 0 is the slack's active power, the PCC exchange.
     """
     y = net.ybus
     g, b = y.real, y.imag
@@ -91,13 +92,16 @@ def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> 
     dq_dv = v_mag[:, None] * t2
     np.fill_diagonal(dq_dv, t2 @ v_mag + v_mag * np.diag(t2))
 
-    pq = np.arange(1, net.n_buses)
-    return np.block(
-        [
-            [dp_dth[np.ix_(pq, pq)], dp_dv[np.ix_(pq, pq)]],
-            [dq_dth[np.ix_(pq, pq)], dq_dv[np.ix_(pq, pq)]],
-        ]
-    )
+    pq = slice(1, None)
+    return np.block([[dp_dth[:, pq], dp_dv[:, pq]], [dq_dth[:, pq], dq_dv[:, pq]]])
+
+
+def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+    """Mismatch Jacobian: :func:`power_jacobian` without the slack rows.
+
+    Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
+    """
+    return np.delete(power_jacobian(net, v_mag, v_ang), (0, net.n_buses), axis=0)
 
 
 def solve_power_flow(

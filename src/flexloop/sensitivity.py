@@ -2,25 +2,24 @@
 
 The controller needs one piece of model information: how a change in each
 controllable (P, Q) setpoint moves the monitored bus voltages and the active
-power exchanged at the PCC. The map is extracted once from the power-flow
-model by central finite differences around an operating point and then held
-fixed; the feedback loop tolerates the resulting model mismatch.
+power exchanged at the PCC. The map is the analytic linearization of the
+power-flow equations at one operating point (implicit-function theorem, one
+solve with the Newton Jacobian) and is then held fixed; the feedback loop
+tolerates the resulting model mismatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections
-from .powerflow import solve_power_flow
-
-DEFAULT_STEP_PU = 1e-4
+from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections, pq_positions
+from .powerflow import PowerFlowSolution, power_jacobian, solve_power_flow
 
 
 class SensitivityError(RuntimeError):
-    """A perturbed power flow required for a sensitivity column failed."""
+    """The operating point has no usable linearization."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class SensitivityMatrix:
     dpcc: np.ndarray
     monitored_buses: tuple[int, ...]
     operating_point: np.ndarray
-    step_pu: float
 
     @property
     def n_setpoints(self) -> int:
@@ -49,13 +47,40 @@ class SensitivityMatrix:
 
     def scaled(self, factors_v: np.ndarray, factors_pcc: np.ndarray) -> "SensitivityMatrix":
         """Entry-wise scaled copy, used for model-mismatch studies."""
-        return SensitivityMatrix(
-            dv=self.dv * factors_v,
-            dpcc=self.dpcc * factors_pcc,
-            monitored_buses=self.monitored_buses,
-            operating_point=self.operating_point,
-            step_pu=self.step_pu,
-        )
+        return replace(self, dv=self.dv * factors_v, dpcc=self.dpcc * factors_pcc)
+
+
+def linearize(
+    net: NetworkModel,
+    devices: DeviceSet,
+    sol: PowerFlowSolution,
+    monitored: tuple[int, ...],
+    droop_slopes: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dv, dpcc)`` at a converged power flow, by the implicit-function theorem.
+
+    The PQ mismatch ``S(x) - S_spec(u) = 0`` gives ``J dx = C du``; ``C``
+    places each setpoint at its :func:`~flexloop.grid.pq_positions` entry,
+    the map :func:`add_setpoint_injections` uses. ``dv`` is the
+    monitored-magnitude part of ``dx``, ``dpcc`` the slack's active-power
+    row applied to it. ``droop_slopes`` (dQ/dV per legacy inverter) lets
+    each inverter's reactive output follow its terminal voltage; without it
+    the droop output is held fixed.
+    """
+    full = power_jacobian(net, sol.v_mag, sol.v_ang)
+    jac = np.delete(full, (0, net.n_buses), axis=0)
+    if droop_slopes is not None:
+        dq_dv = pq_positions(net, [inv.bus for inv in devices.legacy])[1::2]
+        np.subtract.at(jac, (dq_dv, dq_dv), droop_slopes)
+    p = devices.n_setpoints
+    c = np.zeros((len(jac), p))
+    c[pq_positions(net, devices.fpu_buses), np.arange(p)] = 1.0
+    try:
+        dx = np.linalg.solve(jac, c)
+    except np.linalg.LinAlgError as exc:
+        raise SensitivityError("singular Jacobian at the operating point") from exc
+    dv = dx[pq_positions(net, monitored)[1::2]]
+    return dv, full[0] @ dx
 
 
 def compute_sensitivity(
@@ -63,57 +88,25 @@ def compute_sensitivity(
     devices: DeviceSet,
     u0: np.ndarray,
     *,
-    step_pu: float = DEFAULT_STEP_PU,
     slack_v: float = 1.0,
     monitored: tuple[int, ...] | None = None,
 ) -> SensitivityMatrix:
-    """Central finite-difference sensitivities around setpoint vector ``u0``.
+    """Analytic sensitivities around setpoint vector ``u0``.
 
-    Each setpoint entry is perturbed by ``+/- step_pu`` on top of the static
-    loads and legacy feed-in; both perturbed power flows must converge,
-    otherwise the offending column is named in the raised error.
+    One power flow at ``u0`` on top of the static loads and legacy feed-in,
+    then :func:`linearize` at that solution; legacy droop output is held at
+    zero, as in the static model. Raises :class:`SensitivityError` when the
+    operating point does not converge.
     """
     u0 = np.asarray(u0, dtype=float)
     p = devices.n_setpoints
     if u0.shape != (p,):
         raise ValueError(f"operating point must have shape ({p},), got {u0.shape}")
-    if monitored is None:
-        monitored = net.pq_ids
-    rows = [net.pq_row(b) + 1 for b in monitored]  # rows into full v_mag
+    monitored = net.pq_ids if monitored is None else tuple(monitored)
 
-    base = base_injections(net, devices)
-    ref = solve_power_flow(net, add_setpoint_injections(base, net, devices, u0), slack_v)
+    inj = add_setpoint_injections(base_injections(net, devices), net, devices, u0)
+    ref = solve_power_flow(net, inj, slack_v)
     if not ref.converged:
         raise SensitivityError("power flow does not converge at the operating point")
-
-    dv = np.zeros((len(monitored), p))
-    dpcc = np.zeros(p)
-    for j in range(p):
-        label = devices.setpoint_labels[j]
-        responses = []
-        for sign in (+1.0, -1.0):
-            u = u0.copy()
-            u[j] += sign * step_pu
-            sol = solve_power_flow(
-                net,
-                add_setpoint_injections(base, net, devices, u),
-                slack_v,
-                x0=(ref.v_mag, ref.v_ang),
-            )
-            if not sol.converged:
-                raise SensitivityError(
-                    f"perturbed power flow diverged for column {label} "
-                    f"({'+' if sign > 0 else '-'}{step_pu} p.u.)"
-                )
-            responses.append(sol)
-        plus, minus = responses
-        dv[:, j] = (plus.v_mag[rows] - minus.v_mag[rows]) / (2.0 * step_pu)
-        dpcc[j] = (plus.pcc_power_pu - minus.pcc_power_pu) / (2.0 * step_pu)
-
-    return SensitivityMatrix(
-        dv=dv,
-        dpcc=dpcc,
-        monitored_buses=tuple(monitored),
-        operating_point=u0.copy(),
-        step_pu=step_pu,
-    )
+    dv, dpcc = linearize(net, devices, ref, monitored)
+    return SensitivityMatrix(dv, dpcc, monitored_buses=monitored, operating_point=u0.copy())

@@ -147,6 +147,33 @@ def test_invalid_measurement_holds_with_alarm(lab_net, lab_devices, sens):
         assemble_projection_qp(u, y_bad, cfg)
 
 
+@pytest.mark.parametrize(
+    "v_bad, p_pcc",
+    [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)],
+    ids=["nan-voltage", "inf-voltage", "nan-pcc", "inf-pcc"],
+)
+def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_bad, p_pcc):
+    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
+    u_next, rec = controller_step(u, y, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
+
+
+@pytest.mark.parametrize(
+    "bus_ids, n_v", [((2, 3, 4, 9), 4), ((2, 3, 4, 5), 3)], ids=["bus-id", "length"]
+)
+def test_mismatched_measurement_holds_with_alarm(lab_net, lab_devices, sens, bus_ids, n_v):
+    cfg = _cfg(lab_net, lab_devices, sens)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    u_next, rec = controller_step(u, Measurement.make(np.ones(n_v), bus_ids, 0.0, 0.0), cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
+
+
 def test_infeasible_projection_holds_with_alarm(lab_net, lab_devices, sens):
     # band so tight around a violated measurement that no direction fixes it
     cfg = _cfg(lab_net, lab_devices, sens, band=0.0001, max_step_pu=1e-6)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flexloop.grid import (
@@ -16,6 +17,7 @@ from flexloop.grid import (
     NetworkValidationError,
     UnknownBusError,
     ZeroImpedanceBranchError,
+    add_setpoint_injections,
     base_injections,
     build_devices,
     build_network,
@@ -143,6 +145,20 @@ def test_base_injections_signs(lab_net, lab_devices):
     # bus 4: 1 kW load against 2 kW legacy feed-in
     assert inj[row4, 0] == pytest.approx(0.01)
     assert inj[row4, 1] == pytest.approx(-0.002)
+
+
+def test_injection_overrides_sum_on_shared_buses(lab_net, lab_devices):
+    inj = base_injections(
+        lab_net, lab_devices,
+        loads_pu=np.array([[0.03, 0.01], [0.0, 0.0]]), ev_pu=np.array([-0.05]), droop_q=np.array([0.04]),
+    )
+    row3, row4, row5 = (lab_net.pq_row(b) for b in (3, 4, 5))
+    assert inj[row3] == pytest.approx([-0.08, -0.01])  # load and EV charger share bus 3
+    assert inj[row4] == pytest.approx([0.02, 0.04])  # legacy feed-in and its droop output
+    out = add_setpoint_injections(inj, lab_net, lab_devices, np.array([0.01, 0.02, 0.03, 0.04]))
+    assert out[lab_net.pq_row(2)] == pytest.approx([0.01, 0.02])
+    assert out[row5] == pytest.approx([0.03, 0.04])
+    np.testing.assert_array_equal(out[[row3, row4]], inj[[row3, row4]])  # no setpoint there
 
 
 def test_droop_curve_knees_validated():

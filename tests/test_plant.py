@@ -20,6 +20,7 @@ from flexloop.plant import (
     ScenarioError,
     ScenarioEvent,
     qv_droop,
+    qv_droop_slope,
     schedule,
     steady_state_response,
     validate_scenario,
@@ -54,6 +55,14 @@ def test_droop_monotone_nonincreasing_and_continuous():
     q = np.array([qv_droop(c, v) for v in grid_v])
     assert np.all(np.diff(q) <= 1e-12)
     assert np.max(np.abs(np.diff(q))) < 0.08 * (grid_v[1] - grid_v[0]) / (c.v_hi - c.v_db_hi) * 1.01
+
+
+def test_droop_slope_matches_curve():
+    c = DroopCurve(q_max=0.06)
+    for v in (0.9, 0.97, 1.0, 1.03, 1.08):  # clamped, ramps, deadband
+        fd = (qv_droop(c, v + 1e-6) - qv_droop(c, v - 1e-6)) / 2e-6
+        assert qv_droop_slope(c, v) == pytest.approx(fd, abs=1e-6)
+    assert qv_droop_slope(c, 1.03) == pytest.approx(-1.5)
 
 
 def test_droop_curve_validation():
