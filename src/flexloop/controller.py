@@ -62,7 +62,9 @@ class Measurement:
 
     @property
     def all_valid(self) -> bool:
-        return bool(self.pcc_valid and np.all(self.v_valid))
+        """Every channel flagged valid and finite; a flag alone is not trusted."""
+        finite = np.isfinite(self.p_pcc) and np.all(np.isfinite(self.v))
+        return bool(self.pcc_valid and np.all(self.v_valid) and finite)
 
 
 @dataclass(frozen=True)
@@ -229,12 +231,15 @@ def controller_step(
 
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
-    exactly; holds with an alarm if the measurement is invalid (a
-    non-finite or invalid channel, or buses that do not match the monitored
-    set) or the projection has no feasible direction even after softening
-    the tracking row.
+    exactly; holds with an alarm if the setpoints have the wrong shape or a
+    non-finite entry, if the measurement is invalid (a non-finite or invalid
+    channel, or buses that do not match the monitored set) or if the
+    projection has no feasible direction even after softening the tracking
+    row.
     """
     u = np.asarray(u, dtype=float)
+    if u.shape != cfg.u_min.shape or not np.all(np.isfinite(u)):
+        return u.copy(), _held_record(u, y, cfg, "held_invalid_setpoints")
     try:
         problem = assemble_projection_qp(u, y, cfg)
     except InvalidMeasurementError:

@@ -7,22 +7,28 @@ Solves
          lb_in <= alpha * A_in w <= ub_in   (two-sided rows)
          lb_box <= alpha * w <= ub_box      (box rows)
 
-with a primal active-set method. The objective Hessian is a positive
+with the dual active-set method of Goldfarb and Idnani ("A numerically
+stable dual method for solving strictly convex quadratic programs", Math.
+Programming 27, 1983). All rows are stacked once as ``N w <= h`` in
+canonical row-id order. The loop starts at the minimizer on the hard
+equality rows, so it needs no feasible point, and adds the most violated
+inequality row until none is left. The objective Hessian is a positive
 multiple of the identity (plus a penalty term when soft equality rows are
-engaged), so every equality-constrained subproblem is strictly convex and
-the minimizer is unique.
+engaged), so every subproblem is strictly convex and the minimizer is
+unique.
 
 Soft equality rows are a fallback: the solver first treats every equality
 as hard; only if that system is infeasible are the rows flagged soft moved
 into the objective as a quadratic penalty with weight ``rho``, and the
 residual is reported as slack. If the remaining hard constraints are still
 inconsistent the result is an infeasibility certificate naming the
-maximally violated row.
+maximally violated row at the least-violation point, the one LP the solver
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -34,9 +40,8 @@ STATUS_MAX_ITER = "max_iter"
 KKT_TOL = 1e-8
 ACTIVE_TOL = 1e-7
 
-_RATIO_EPS = 1e-13
-_STEP_EPS = 1e-11
-_MULT_EPS = 1e-10
+_VIOL_TOL = 0.1 * KKT_TOL  # a row violated by no more than this is met
+_SPAN_EPS = 1e-11  # |H z| <= this * |N_row|: the row lies in the working rows' span
 
 
 def _as_matrix(a, p: int) -> np.ndarray:
@@ -106,10 +111,14 @@ class QpProblem:
             raise ValueError("inconsistent inequality bound dimensions")
         if self.lb_box.shape != (p,) or self.ub_box.shape != (p,):
             raise ValueError("inconsistent box dimensions")
+        if not all(np.all(np.isfinite(a)) for a in (self.g, self.a_eq, self.b_eq, self.a_in)):
+            raise ValueError("g, a_eq, b_eq and a_in must be finite")
+        if any(np.any(np.isnan(b)) for b in (self.lb_in, self.ub_in, self.lb_box, self.ub_box)):
+            raise ValueError("a bound is NaN; an absent bound is +/-inf")
         if np.any(self.lb_in > self.ub_in) or np.any(self.lb_box > self.ub_box):
             raise ValueError("lower bound above upper bound")
-        if self.alpha <= 0 or self.rho <= 0 or self.scale <= 0:
-            raise ValueError("alpha, rho and scale must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.alpha, self.rho, self.scale)):
+            raise ValueError("alpha, rho and scale must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -194,82 +203,45 @@ class QpSolution:
         return mask
 
 
-@dataclass
-class _OneSided:
-    """Hard constraints in one-sided form G w <= h plus row bookkeeping."""
+def _stacked_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Every constraint row as ``N w <= h`` in canonical row-id order.
 
-    G: np.ndarray
-    h: np.ndarray
-    kinds: list[tuple[str, int]] = field(default_factory=list)  # (family, index)
-
-
-def _build_one_sided(p: QpProblem) -> _OneSided:
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[tuple[str, int]] = []
-    a_in_eff = p.alpha * p.a_in
-    for i in range(p.n_in):
-        if np.isfinite(p.lb_in[i]):
-            rows.append(-a_in_eff[i])
-            rhs.append(-p.lb_in[i])
-            kinds.append(("in_lo", i))
-        if np.isfinite(p.ub_in[i]):
-            rows.append(a_in_eff[i])
-            rhs.append(p.ub_in[i])
-            kinds.append(("in_hi", i))
-    for j in range(p.n):
-        e = np.zeros(p.n)
-        e[j] = p.alpha
-        if np.isfinite(p.lb_box[j]):
-            rows.append(-e)
-            rhs.append(-p.lb_box[j])
-            kinds.append(("box_lo", j))
-        if np.isfinite(p.ub_box[j]):
-            rows.append(e)
-            rhs.append(p.ub_box[j])
-            kinds.append(("box_hi", j))
-    if rows:
-        return _OneSided(np.vstack(rows), np.asarray(rhs), kinds)
-    return _OneSided(np.zeros((0, p.n)), np.zeros(0), kinds)
+    Equality rows read ``N w = h``. Lower rows are negated so every
+    inequality points the same way; an absent bound is ``h = +inf``, a row
+    that is never violated and never binding.
+    """
+    lo_hi = np.array([[-1.0], [1.0]])
+    N = p.alpha * np.vstack([p.a_eq, np.kron(p.a_in, lo_hi), np.kron(np.eye(p.n), lo_hi)])
+    h = np.concatenate([
+        p.b_eq,
+        np.column_stack([-p.lb_in, p.ub_in]).ravel(),
+        np.column_stack([-p.lb_box, p.ub_box]).ravel(),
+    ])
+    return N, h
 
 
-def _feasible_point(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray):
-    """Feasible point via an LP, or None if the system is inconsistent."""
-    n = E.shape[1] if E.size else G.shape[1]
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=G if G.size else None,
-        b_ub=h if G.size else None,
-        A_eq=E if E.size else None,
-        b_eq=b if E.size else None,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return np.asarray(res.x, dtype=float)
+def _split(p: QpProblem, lam: np.ndarray) -> QpMultipliers:
+    """Per-family views of one multiplier vector over the stacked rows."""
+    m, k = p.n_eq, p.n_eq + 2 * p.n_in
+    return QpMultipliers(lam[:m], lam[m:k:2], lam[m + 1 : k : 2], lam[k::2], lam[k + 1 :: 2])
+
+
+def _stack(mult: QpMultipliers) -> np.ndarray:
+    return np.concatenate([
+        mult.eq,
+        np.column_stack([mult.in_lo, mult.in_hi]).ravel(),
+        np.column_stack([mult.box_lo, mult.box_hi]).ravel(),
+    ])
 
 
 def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray):
     """Chebyshev-style least-infeasible point: min s, all violations <= s."""
-    n = E.shape[1] if E.size else G.shape[1]
-    ones = lambda m: -np.ones((m, 1))
-    blocks = []
-    rhs = []
-    if G.size:
-        blocks.append(np.hstack([G, ones(G.shape[0])]))
-        rhs.append(h)
-    if E.size:
-        blocks.append(np.hstack([E, ones(E.shape[0])]))
-        rhs.append(b)
-        blocks.append(np.hstack([-E, ones(E.shape[0])]))
-        rhs.append(-b)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
+    rows = np.vstack([G, E, -E])
+    n = rows.shape[1]
     res = linprog(
-        c=c,
-        A_ub=np.vstack(blocks),
-        b_ub=np.concatenate(rhs),
+        c=np.append(np.zeros(n), 1.0),
+        A_ub=np.hstack([rows, -np.ones((rows.shape[0], 1))]),
+        b_ub=np.concatenate([h, b, -b]),
         bounds=[(None, None)] * n + [(0, None)],
         method="highs",
     )
@@ -295,66 +267,75 @@ def _kkt_solve(H: np.ndarray, c: np.ndarray, A: np.ndarray, d: np.ndarray):
     return sol[:n], sol[n:]
 
 
-def _active_set_solve(
+def _dual_solve(
     H: np.ndarray,
     c: np.ndarray,
-    E: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
+    N: np.ndarray,
     h: np.ndarray,
+    eq_rows: np.ndarray,
+    ineq: np.ndarray,
     max_iter: int,
 ):
-    """Primal active-set iteration.
+    """Dual active-set loop of Goldfarb and Idnani.
 
-    Returns ``(status, w, nu, lam, iterations)`` with ``lam`` aligned to the
-    rows of ``G`` (zero for inactive rows). Ties in blocking and dropping
-    decisions are broken toward the lowest row index for determinism.
+    ``eq_rows`` index the rows of ``N`` held as equalities; ``ineq`` masks
+    the rows held as ``N_i w <= h_i``. The loop starts at the minimizer on
+    the equality rows and adds the most violated inequality row by raising
+    its multiplier, dropping a working row whose multiplier reaches zero on
+    the way. Returns ``(status, w, lam, iterations)`` with ``lam`` over all
+    rows of ``N``. Ties go to the lowest row id.
     """
-    n = H.shape[0]
-    m_eq = E.shape[0]
-    n_rows = G.shape[0]
-
-    if n_rows == 0:
-        w, nu = _kkt_solve(H, c, E, b)
-        return STATUS_OPTIMAL, w, nu, np.zeros(0), 0
-
-    w = _feasible_point(E, b, G, h)
-    if w is None:
-        return STATUS_INFEASIBLE, None, None, None, 0
-
-    working: list[int] = []
-    for it in range(1, max_iter + 1):
-        A = np.vstack([E, G[working]]) if working else E
-        d = np.concatenate([b, h[working]]) if working else b
-        w_star, mults = _kkt_solve(H, c, A, d)
-        step = w_star - w
-        if np.max(np.abs(step), initial=0.0) <= _STEP_EPS * max(1.0, np.max(np.abs(w_star), initial=0.0)):
-            lam_w = mults[m_eq:]
-            if lam_w.size == 0 or np.min(lam_w) >= -_MULT_EPS:
-                lam = np.zeros(n_rows)
-                lam[working] = np.maximum(lam_w, 0.0)
-                return STATUS_OPTIMAL, w_star, mults[:m_eq], lam, it
-            drop = int(np.argmin(lam_w))  # first occurrence wins ties
-            working.pop(drop)
-            w = w_star
-            continue
-        # ratio test over rows not in the working set
-        limit = 1.0
-        blocker = -1
-        gw = G @ w
-        gp = G @ step
-        for i in range(n_rows):
-            if i in working or gp[i] <= _RATIO_EPS:
-                continue
-            ratio = (h[i] - gw[i]) / gp[i]
-            if ratio < limit - 1e-14:
-                limit = max(ratio, 0.0)
-                blocker = i
-        w = w + limit * step
-        if blocker >= 0 and limit < 1.0 - 1e-14:
-            working.append(blocker)
-            working.sort()
-    return STATUS_MAX_ITER, w, np.zeros(m_eq), np.zeros(n_rows), max_iter
+    n_eq = len(eq_rows)
+    work = list(eq_rows)
+    # inequality rows that fit beside the equality rows, which may be dependent
+    room = H.shape[0] - np.linalg.matrix_rank(N[work])
+    lam = np.zeros(N.shape[0])
+    w, lam[work] = _kkt_solve(H, c, N[work], h[work])
+    if n_eq and np.max(np.abs(N[work] @ w - h[work])) > _VIOL_TOL:
+        return STATUS_INFEASIBLE, w, lam, 0
+    row = -1  # the row being added; kept until it joins the working set
+    steps = 0
+    while True:
+        if row < 0:
+            viol = np.where(ineq, N @ w - h, -np.inf)
+            viol[work] = -np.inf
+            row = int(np.argmax(viol))
+            if viol[row] <= _VIOL_TOL:
+                return STATUS_OPTIMAL, w, lam, steps
+        if steps == max_iter:
+            return STATUS_MAX_ITER, w, lam, steps
+        steps += 1
+        z, y = _kkt_solve(H, N[row], N[work], np.zeros(len(work)))
+        # a dual step raises lam[row] by t and moves the working multipliers
+        # by t * y; the first inequality multiplier to reach zero limits it
+        shrinking = np.flatnonzero(y[n_eq:] < 0.0)
+        t_drop = np.inf
+        if shrinking.size:
+            ratios = lam[[work[n_eq + i] for i in shrinking]] / -y[n_eq + shrinking]
+            drop = int(np.argmin(ratios))
+            t_drop = max(float(ratios[drop]), 0.0)
+        # a full working set, or a row in its span, leaves no primal direction
+        curvature = -float(N[row] @ z)
+        if len(work) - n_eq >= room or curvature <= 0.0 or (
+            np.max(np.abs(H @ z)) <= _SPAN_EPS * np.max(np.abs(N[row]))
+        ):
+            if not np.isfinite(t_drop):
+                return STATUS_INFEASIBLE, w, lam, steps
+            t_add = np.inf
+        else:
+            t_add = max(float(N[row] @ w - h[row]) / curvature, 0.0)
+            w = w + min(t_add, t_drop) * z
+        t = min(t_add, t_drop)
+        lam[work] += t * y
+        lam[row] += t
+        if t_add <= t_drop:
+            work.append(row)
+            row = -1
+            # re-solve on the new working set so round-off does not build up
+            w, lam[work] = _kkt_solve(H, c, N[work], h[work])
+            lam[work[n_eq:]] = np.maximum(lam[work[n_eq:]], 0.0)
+        else:
+            lam[work.pop(n_eq + int(shrinking[drop]))] = 0.0
 
 
 def _objective_terms(p: QpProblem, soften: bool):
@@ -367,46 +348,6 @@ def _objective_terms(p: QpProblem, soften: bool):
         H = H + 2.0 * p.scale * p.rho * (Es.T @ Es)
         c = c - 2.0 * p.scale * p.rho * (Es.T @ bs)
     return H, c
-
-
-def _assemble_multipliers(
-    p: QpProblem, one_sided: _OneSided, nu_hard: np.ndarray, lam: np.ndarray, soften: bool
-) -> QpMultipliers:
-    eq = np.zeros(p.n_eq)
-    hard_rows = np.where(~p.eq_soft)[0] if soften else np.arange(p.n_eq)
-    eq[hard_rows] = nu_hard
-    in_lo = np.zeros(p.n_in)
-    in_hi = np.zeros(p.n_in)
-    box_lo = np.zeros(p.n)
-    box_hi = np.zeros(p.n)
-    buckets = {"in_lo": in_lo, "in_hi": in_hi, "box_lo": box_lo, "box_hi": box_hi}
-    for value, (family, idx) in zip(lam, one_sided.kinds):
-        buckets[family][idx] += value
-    return QpMultipliers(eq, in_lo, in_hi, box_lo, box_hi)
-
-
-def _binding_rows(p: QpProblem, w: np.ndarray, soften: bool) -> tuple[int, ...]:
-    """Row ids holding with equality at ACTIVE_TOL, in canonical order."""
-    ids: list[int] = []
-    for i in range(p.n_eq):
-        if soften and p.eq_soft[i]:
-            continue
-        ids.append(i)
-    in_vals = p.alpha * (p.a_in @ w) if p.n_in else np.zeros(0)
-    for i in range(p.n_in):
-        base = p.n_eq + 2 * i
-        if np.isfinite(p.lb_in[i]) and abs(in_vals[i] - p.lb_in[i]) <= ACTIVE_TOL:
-            ids.append(base)
-        if np.isfinite(p.ub_in[i]) and abs(in_vals[i] - p.ub_in[i]) <= ACTIVE_TOL:
-            ids.append(base + 1)
-    box_vals = p.alpha * w
-    for j in range(p.n):
-        base = p.n_eq + 2 * p.n_in + 2 * j
-        if np.isfinite(p.lb_box[j]) and abs(box_vals[j] - p.lb_box[j]) <= ACTIVE_TOL:
-            ids.append(base)
-        if np.isfinite(p.ub_box[j]) and abs(box_vals[j] - p.ub_box[j]) <= ACTIVE_TOL:
-            ids.append(base + 1)
-    return tuple(ids)
 
 
 def kkt_residuals(
@@ -422,123 +363,87 @@ def kkt_residuals(
     rows contribute a gradient term instead of a primal residual.
     """
     w = np.asarray(w, dtype=float)
-    m = multipliers
+    N, h = _stacked_rows(p)
+    lam = _stack(multipliers)
     grad = 2.0 * p.scale * (w + p.g)
     if penalized is not None and np.any(penalized):
         Es = p.alpha * p.a_eq[penalized]
         bs = p.b_eq[penalized]
         grad = grad + 2.0 * p.scale * p.rho * (Es.T @ (Es @ w - bs))
-
-    stat = grad.copy()
-    if p.n_eq:
-        stat = stat + (p.alpha * p.a_eq).T @ m.eq
-    if p.n_in:
-        stat = stat + (p.alpha * p.a_in).T @ (m.in_hi - m.in_lo)
-    stat = stat + p.alpha * (m.box_hi - m.box_lo)
-    stationarity = float(np.max(np.abs(stat), initial=0.0))
-
-    primal = 0.0
-    comp = 0.0
-    if p.n_eq:
-        vals = p.alpha * (p.a_eq @ w)
-        hard = np.ones(p.n_eq, dtype=bool) if penalized is None else ~penalized
-        if np.any(hard):
-            primal = max(primal, float(np.max(np.abs(vals[hard] - p.b_eq[hard]))))
-    if p.n_in:
-        vals = p.alpha * (p.a_in @ w)
-        for i in range(p.n_in):
-            if np.isfinite(p.lb_in[i]):
-                primal = max(primal, p.lb_in[i] - vals[i])
-                comp = max(comp, abs(m.in_lo[i] * (vals[i] - p.lb_in[i])))
-            if np.isfinite(p.ub_in[i]):
-                primal = max(primal, vals[i] - p.ub_in[i])
-                comp = max(comp, abs(m.in_hi[i] * (p.ub_in[i] - vals[i])))
-    vals = p.alpha * w
-    for j in range(p.n):
-        if np.isfinite(p.lb_box[j]):
-            primal = max(primal, p.lb_box[j] - vals[j])
-            comp = max(comp, abs(m.box_lo[j] * (vals[j] - p.lb_box[j])))
-        if np.isfinite(p.ub_box[j]):
-            primal = max(primal, vals[j] - p.ub_box[j])
-            comp = max(comp, abs(m.box_hi[j] * (p.ub_box[j] - vals[j])))
-    return stationarity, float(max(primal, 0.0)), comp
+    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
+    m = p.n_eq
+    r = N @ w - h  # -inf on absent bounds
+    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
+    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
+    gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
+    comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
+    return stationarity, float(primal), comp
 
 
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
     """Solve the projection QP with a certified result.
 
     The returned solution carries the KKT residual triple; for ``optimal``
-    status each residual is below :data:`KKT_TOL`. Infeasible hard systems
-    yield ``status="infeasible"`` with the id of the maximally violated row,
-    after the soft-equality fallback (if any rows allow it) has been tried.
+    status the residuals are below :data:`KKT_TOL`, stationarity and
+    complementarity relative to the largest multiplier (at least 1).
+    Infeasible hard systems yield ``status="infeasible"`` with the id of the
+    maximally violated row, after the soft-equality fallback (if any rows
+    allow it) has been tried.
     """
     p = problem
     if max_iter is None:
         max_iter = 100 + 10 * p.n_rows
-    one_sided = _build_one_sided(p)
-    E_all = p.alpha * p.a_eq
+    N, h = _stacked_rows(p)
+    m = p.n_eq
+    ineq = np.isfinite(h)
+    ineq[:m] = False
     cap_iters = 0
 
     for soften in (False, True):
         if soften and not np.any(p.eq_soft):
             break
-        if soften:
-            E = E_all[~p.eq_soft]
-            b = p.b_eq[~p.eq_soft]
-        else:
-            E = E_all
-            b = p.b_eq
+        eq_rows = np.flatnonzero(~p.eq_soft) if soften else np.arange(m)
         H, c = _objective_terms(p, soften)
-        status, w, nu, lam, iters = _active_set_solve(
-            H, c, E, b, one_sided.G, one_sided.h, max_iter
-        )
+        status, w, lam, iters = _dual_solve(H, c, N, h, eq_rows, ineq, max_iter)
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        mult = _assemble_multipliers(p, one_sided, nu, lam, soften)
-        slack = (E_all @ w - p.b_eq) if p.n_eq else np.zeros(0)
-        penal = p.eq_soft if soften else None
-        stat, primal, comp = kkt_residuals(p, w, mult, penalized=penal)
-        if status == STATUS_OPTIMAL and max(stat, primal, comp) > KKT_TOL:
+        mult = _split(p, lam)
+        stat, primal, comp = kkt_residuals(p, w, mult, penalized=p.eq_soft if soften else None)
+        size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
+        if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
+        binding = np.abs(N @ w - h) <= ACTIVE_TOL
+        binding[:m] = ~p.eq_soft if soften else True
         return QpSolution(
             w=w,
             status=status,
             stationarity=stat,
             primal=primal,
             complementarity=comp,
-            active_set=_binding_rows(p, w, soften) if status == STATUS_OPTIMAL else (),
+            active_set=tuple(np.flatnonzero(binding).tolist()) if status == STATUS_OPTIMAL else (),
             multipliers=mult,
-            eq_slack=slack,
+            eq_slack=N[:m] @ w - p.b_eq,
             softened=soften,
             iterations=cap_iters,
         )
 
     # both attempts infeasible: certify with the least-violation point
-    w_lv = _least_violation(E_all, p.b_eq, one_sided.G, one_sided.h)
-    viol = []
-    if p.n_eq:
-        viol.extend(
-            (abs(float(E_all[i] @ w_lv - p.b_eq[i])), i) for i in range(p.n_eq)
-        )
-    base_ids = {("in_lo", i): p.n_eq + 2 * i for i in range(p.n_in)}
-    base_ids.update({("in_hi", i): p.n_eq + 2 * i + 1 for i in range(p.n_in)})
-    base_ids.update({("box_lo", j): p.n_eq + 2 * p.n_in + 2 * j for j in range(p.n)})
-    base_ids.update({("box_hi", j): p.n_eq + 2 * p.n_in + 2 * j + 1 for j in range(p.n)})
-    for row, rhs, kind in zip(one_sided.G, one_sided.h, one_sided.kinds):
-        viol.append((max(0.0, float(row @ w_lv - rhs)), base_ids[kind]))
-    worst_val = max(v for v, _ in viol)
-    worst = (worst_val, min(i for v, i in viol if v >= worst_val - 1e-12))
+    w_lv = _least_violation(N[:m], p.b_eq, N[ineq], h[ineq])
+    r = N @ w_lv - h
+    viol = np.where(ineq, np.maximum(r, 0.0), -np.inf)
+    viol[:m] = np.abs(r[:m])
+    worst = float(np.max(viol))
     return QpSolution(
         w=w_lv,
         status=STATUS_INFEASIBLE,
         stationarity=float("nan"),
-        primal=worst[0],
+        primal=worst,
         complementarity=float("nan"),
         active_set=(),
         multipliers=None,
-        eq_slack=(E_all @ w_lv - p.b_eq) if p.n_eq else np.zeros(0),
+        eq_slack=r[:m],
         softened=bool(np.any(p.eq_soft)),
         iterations=cap_iters,
-        most_violated=worst[1],
+        most_violated=int(np.flatnonzero(viol >= worst - 1e-12)[0]),
     )

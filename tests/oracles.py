@@ -132,7 +132,8 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
 
     best = None
     m_eq = e_hard.shape[0]
-    max_extra = n - m_eq
+    # a zero or dependent equality row leaves room for more one-sided rows
+    max_extra = n - np.linalg.matrix_rank(e_hard)
     for size in range(0, max(0, max_extra) + 1):
         for subset in itertools.combinations(range(len(rows)), size):
             a_act = [e_hard[i] for i in range(m_eq)] + [rows[i][0] for i in subset]

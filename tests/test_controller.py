@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,24 @@ def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
     u = np.array([0.01, 0.0, 0.02, 0.0])
     y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
-    u_next, rec = controller_step(u, y, cfg)
+    # a directly built measurement may flag a non-finite channel as valid
+    flagged_valid = replace(y, v_valid=np.ones(4, dtype=bool), pcc_valid=True)
+    for meas in (y, flagged_valid):
+        u_next, rec = controller_step(u, meas, cfg)
+        np.testing.assert_array_equal(u_next, u)
+        assert rec.alarm
+        assert rec.qp_status == "held_invalid_measurement"
+
+
+@pytest.mark.parametrize(
+    "u", [np.zeros(3), np.array([0.01, np.nan, 0.0, 0.0])], ids=["wrong-shape", "nan-entry"]
+)
+def test_invalid_setpoints_hold_with_alarm(lab_net, lab_devices, sens, u):
+    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    u_next, rec = controller_step(u, _measurement(cfg, v=1.0, p_pcc=0.0), cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
-    assert rec.qp_status == "held_invalid_measurement"
+    assert rec.qp_status == "held_invalid_setpoints"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flexloop.qp
+from flexloop.controller import ControllerConfig
+from flexloop.harness import run_closed_loop
+from flexloop.plant import PlantConfig
 from flexloop.qp import (
+    KKT_TOL,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITER,
     STATUS_OPTIMAL,
@@ -236,3 +244,122 @@ def test_dimension_validation():
         QpProblem(g=np.array([1.0]), a_eq=np.array([[1.0, 2.0]]), b_eq=np.array([0.0]))
     with pytest.raises(ValueError, match="lower bound"):
         QpProblem(g=np.array([1.0]), lb_box=np.array([1.0]), ub_box=np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("g", [1.0, np.nan]),
+        ("g", [1.0, np.inf]),
+        ("a_eq", [[np.inf, 0.0]]),
+        ("b_eq", [np.nan]),
+        ("a_in", [[np.nan, 0.0]]),
+        ("lb_in", [np.nan]),
+        ("ub_in", [np.nan]),
+        ("lb_box", [0.0, np.nan]),
+        ("ub_box", [np.nan, 0.0]),
+        ("alpha", np.nan),
+    ],
+)
+def test_rejects_nan_and_non_finite_data(field, value):
+    data = dict(
+        g=[1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[0.5], a_in=[[1.0, -1.0]],
+        lb_in=[-1.0], ub_in=[1.0], lb_box=[-1.0, -1.0], ub_box=[1.0, 1.0],
+    )
+    QpProblem(**{k: np.asarray(v) for k, v in data.items()})  # the base problem is valid
+    data[field] = value
+    with pytest.raises(ValueError):
+        QpProblem(**{k: np.asarray(v) for k, v in data.items()})
+
+
+def test_softened_optimum_certified_relative_to_multipliers():
+    # rho = 1e4 puts the voltage-row multipliers near 1e6, so the absolute
+    # complementarity residual of a correct answer is ~2e-5 from round-off
+    p = QpProblem(
+        g=np.array([-0.92085314, -1.8361059]),
+        alpha=1.0280501935178907,
+        a_eq=np.array([[-0.96694473, 0.62654048]]),
+        b_eq=np.array([1.23826673]),
+        eq_soft=np.array([True]),
+        a_in=np.array([[0.21327155, 0.45899312], [0.08724998, 0.87014485]]),
+        lb_in=np.array([0.13170711, -1.494523]),
+        ub_in=np.array([1.41781352, -1.44414464]),
+    )
+    sol = solve_qp(p)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.softened
+    assert enumerate_qp(p) is None
+    np.testing.assert_allclose(sol.w, enumerate_qp(p, soften=True)[0], atol=1e-9)
+    m = sol.multipliers
+    size = max(np.max(np.abs(np.concatenate([m.eq, m.in_lo, m.in_hi, m.box_lo, m.box_hi]))), 1.0)
+    assert size > 1e5
+    assert max(sol.stationarity / size, sol.primal, sol.complementarity / size) <= KKT_TOL
+    # the reported triple stays absolute
+    assert (sol.stationarity, sol.primal, sol.complementarity) == kkt_residuals(
+        p, sol.w, m, penalized=p.eq_soft
+    )
+
+
+@st.composite
+def projection_problems(draw):
+    """Projection QPs shaped as the controller builds them: at most one
+    tracking row, up to three voltage rows with open or finite bounds, and a
+    finite box on every entry (two-sided, or pinned where a device has no
+    range). Entries lie on a 1e-3 grid: exact zeros, ties and dependent rows
+    occur, and no coefficient is so small that the oracle's absolute 1e-8
+    feasibility test misjudges it."""
+    n = draw(st.integers(1, 4))
+
+    def grid(lo, hi):
+        return st.integers(round(lo * 1000), round(hi * 1000)).map(lambda i: i / 1000)
+
+    def vec(k, elem=grid(-1.0, 1.0)):
+        return np.array(draw(st.lists(elem, min_size=k, max_size=k)), dtype=float)
+
+    alpha = draw(grid(0.2, 1.5))
+    lb_box = vec(n)
+    ub_box = lb_box + vec(n, st.just(0.0) | grid(0.05, 1.5))
+    a_eq = b_eq = eq_soft = None
+    if draw(st.booleans()):
+        a_eq = vec(n)[None, :]
+        b_eq = vec(1)
+        eq_soft = np.array([draw(st.booleans())])
+    k = draw(st.integers(0, 3))
+    a_in = np.reshape(vec(k * n), (k, n))
+    mid = vec(k)
+    lb_in = mid - vec(k, grid(0.0, 1.0) | st.just(np.inf))
+    ub_in = mid + vec(k, grid(0.0, 1.0) | st.just(np.inf))
+    return QpProblem(
+        g=2.0 * vec(n), alpha=alpha, a_eq=a_eq, b_eq=b_eq, eq_soft=eq_soft,
+        a_in=a_in, lb_in=lb_in, ub_in=ub_in, lb_box=lb_box, ub_box=ub_box,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_problems())
+def test_property_matches_enumeration_oracle(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_qp(p)
+    hard = enumerate_qp(p)
+    if hard is not None:
+        assert sol.status == STATUS_OPTIMAL and not sol.softened
+        np.testing.assert_allclose(sol.w, hard[0], atol=1e-7)
+    elif np.any(p.eq_soft) and enumerate_qp(p, soften=True) is not None:
+        assert sol.status == STATUS_OPTIMAL and sol.softened
+    else:
+        assert sol.status == STATUS_INFEASIBLE and sol.most_violated is not None
+
+
+def test_no_lp_on_feasible_problems(monkeypatch, lab_net, lab_devices, exp_a):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called on a problem with a feasible projection")
+
+    monkeypatch.setattr(flexloop.qp, "linprog", refuse)
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
+    assert all(r.qp_status == STATUS_OPTIMAL for r in log.records)
+    rng = np.random.default_rng(42)
+    for trial in range(40):
+        p = _random_problem(rng, int(rng.integers(2, 7)), with_eq=trial % 2 == 0, soft=trial % 4 == 0)
+        assert solve_qp(p).status == STATUS_OPTIMAL
