@@ -28,7 +28,7 @@ from .harness import (
     run_closed_loop,
     summarize,
 )
-from .plant import PlantConfig, PlantDivergedError, ScenarioError
+from .plant import PLANT_EVENT_KINDS, Plant, PlantConfig, PlantDivergedError, ScenarioError
 from .powerflow import PowerFlowError
 from .sensitivity import SensitivityError
 
@@ -140,18 +140,21 @@ def _run(args) -> int:
         raise _CliError(f"scenario aborted: {log.abort_reason}", 2)
 
     if args.mode == "compare-oracle":
-        final_p_set = log.records[-1].p_set
-        slack_v = plant_cfg.slack_v0
-        for e in scenario.events:  # oracle sees the end-of-scenario disturbances
-            if e.kind == "slack_voltage_change":
-                slack_v = e.get("v_pu")
+        # the oracle sees the end-of-scenario disturbances
+        plant = Plant(net, devices, plant_cfg)
+        end = plant.apply_events(
+            plant.initial_state(np.zeros(devices.n_setpoints)),
+            [e for e in scenario.events if e.kind in PLANT_EVENT_KINDS],
+        )
         opf = reference_opf(
             net,
             devices,
-            p_set_pu=final_p_set,
+            p_set_pu=log.records[-1].p_set,
             v_min=log.v_min,
             v_max=log.v_max,
-            slack_v=slack_v,
+            slack_v=end.slack_v,
+            loads_pu=end.loads,
+            ev_pu=end.ev_power,
             seed=args.seed,
         )
         phi_loop = float(np.sum(log.records[-1].u ** 2))

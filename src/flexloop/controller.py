@@ -118,15 +118,14 @@ class ControllerConfig:
         monitored = (
             sensitivity.monitored_buses if sensitivity is not None else net.pq_ids
         )
-        v_nom = np.array([net.v_to_pu(net.buses[net.index(b)].v_nominal, b) for b in monitored])
         u_min, u_max = devices.setpoint_bounds_pu(net.s_base_va)
         return ControllerConfig(
             alpha=alpha,
             rho=rho,
             p_set_pu=p_set_kw * 1e3 / net.s_base_va,
             monitored=tuple(monitored),
-            v_min=v_nom * (1.0 - band),
-            v_max=v_nom * (1.0 + band),
+            v_min=np.full(len(monitored), 1.0 - band),
+            v_max=np.full(len(monitored), 1.0 + band),
             u_min=u_min,
             u_max=u_max,
             s_base_va=net.s_base_va,

@@ -199,10 +199,7 @@ def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
                         bus=bus,
                         p_fixed_w=kv["p_kw"] * 1e3,
                         q_max_var=kv["q_max_kvar"] * 1e3,
-                        v_db_lo=kv.get("v_db_lo", 0.99),
-                        v_db_hi=kv.get("v_db_hi", 1.01),
-                        v_lo=kv.get("v_lo", 0.95),
-                        v_hi=kv.get("v_hi", 1.05),
+                        **{k: kv[k] for k in optional if k in kv},  # absent knees: the defaults
                     )
                 )
             elif kind == "load":

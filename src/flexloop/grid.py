@@ -134,7 +134,6 @@ class NetworkModel:
     branches: tuple[Branch, ...]
     pcc_bus: int
     s_base_va: float = 1.0e5
-    voltage_bases: tuple[tuple[float, float], ...] = ()  # (nominal V, base V) overrides
 
     @property
     def n_buses(self) -> int:
@@ -168,27 +167,11 @@ class NetworkModel:
     # per-unit bases -------------------------------------------------------
 
     def v_base(self, bus_id: int) -> float:
-        nominal = self.buses[self.index(bus_id)].v_nominal
-        for vn, vb in self.voltage_bases:
-            if vn == nominal:
-                return vb
-        return nominal
+        return self.buses[self.index(bus_id)].v_nominal
 
     def z_base(self, bus_id: int) -> float:
         vb = self.v_base(bus_id)
         return vb * vb / self.s_base_va
-
-    def p_to_pu(self, watts: float) -> float:
-        return watts / self.s_base_va
-
-    def p_from_pu(self, pu: float) -> float:
-        return pu * self.s_base_va
-
-    def v_to_pu(self, volts: float, bus_id: int) -> float:
-        return volts / self.v_base(bus_id)
-
-    def v_from_pu(self, pu: float, bus_id: int) -> float:
-        return pu * self.v_base(bus_id)
 
     # admittance -----------------------------------------------------------
 
@@ -208,15 +191,6 @@ class NetworkModel:
             y[i, j] -= ys
             y[j, i] -= ys
         return y
-
-    def branch_admittances(self) -> np.ndarray:
-        return np.array(
-            [
-                self.z_base(br.from_bus) / (br.r_ohm + 1j * br.x_ohm)
-                for br in self.branches
-            ],
-            dtype=complex,
-        )
 
 
 def build_network(spec: NetworkSpec) -> NetworkModel:
@@ -318,14 +292,6 @@ class DeviceSet:
     @cached_property
     def fpu_buses(self) -> tuple[int, ...]:
         return tuple(f.bus for f in self.controllables)
-
-    @cached_property
-    def setpoint_labels(self) -> tuple[str, ...]:
-        labels: list[str] = []
-        for f in self.controllables:
-            labels.append(f"P@{f.bus}")
-            labels.append(f"Q@{f.bus}")
-        return tuple(labels)
 
     def setpoint_bounds_pu(self, s_base_va: float) -> tuple[np.ndarray, np.ndarray]:
         lb = np.empty(self.n_setpoints)

@@ -11,13 +11,13 @@ key performance indicators used by the acceptance checks.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .controller import (
+    DEFAULT_BAND,
     ControllerConfig,
     StepRecord,
     controller_step,
@@ -41,6 +41,11 @@ SETTLE_TOL_KW = 0.1  # "flexibility provided"
 STEADY_TOL_KW = 0.01  # "without tracking error"
 SPEED_REQUIREMENT_S = 120.0
 V_COUNT_GUARD_PU = 1e-6  # measurement tolerance when counting band violations
+SETTLE_PERSIST = 10  # samples the error must stay below tolerance to count as settled
+STEADY_WINDOW = 10  # trailing samples that make up the steady state
+OPF_RESTARTS = 10  # descents of the oracle, the first from zero
+OPF_STEP = 0.5  # the oracle's projected-gradient step size
+OPF_MAX_ITER = 200  # iterations per descent
 
 
 class InfeasibleRequestError(RuntimeError):
@@ -63,9 +68,6 @@ class TelemetryLog:
     """One record per sample plus run metadata; serializable to CSV."""
 
     records: tuple[StepRecord, ...]
-    scenario_name: str
-    seed: int
-    config_hash: str
     t_sample_s: float
     s_base_va: float
     fpu_buses: tuple[int, ...]
@@ -95,19 +97,26 @@ class TelemetryLog:
     def setpoints_pu(self) -> np.ndarray:
         return np.vstack([r.u for r in self.records])
 
-    def out_of_band(self, guard: float = V_COUNT_GUARD_PU) -> np.ndarray:
+    def out_of_band(self) -> np.ndarray:
         v = self.voltages_pu()
-        return np.any((v > self.v_max + guard) | (v < self.v_min - guard), axis=1)
+        g = V_COUNT_GUARD_PU
+        return np.any((v > self.v_max + g) | (v < self.v_min - g), axis=1)
+
+    def fpu_tags(self) -> list[str]:
+        """``fpu<bus>`` per unit, ``fpu<bus>_<n>`` for the n-th unit on one bus."""
+        seen: dict[int, int] = {}
+        tags = []
+        for bus in self.fpu_buses:
+            seen[bus] = seen.get(bus, 0) + 1
+            tags.append(f"fpu{bus}" if seen[bus] == 1 else f"fpu{bus}_{seen[bus]}")
+        return tags
 
     # CSV -------------------------------------------------------------------
 
     def column_names(self) -> tuple[str, ...]:
         cols = ["iteration", "time_s"]
-        seen: dict[int, int] = {}
-        for bus in self.fpu_buses:
-            seen[bus] = seen.get(bus, 0) + 1
-            tag = f"{bus}" if seen[bus] == 1 else f"{bus}_{seen[bus]}"
-            cols += [f"fpu{tag}_p_kw", f"fpu{tag}_q_kvar"]
+        for tag in self.fpu_tags():
+            cols += [f"{tag}_p_kw", f"{tag}_q_kvar"]
         cols += [f"v{bus}_v" for bus in self.monitored]
         cols += [
             "p_pcc_kw",
@@ -151,31 +160,6 @@ class TelemetryLog:
         return hashlib.sha256(self.to_csv().encode()).hexdigest()
 
 
-def _config_hash(ctrl_cfg: ControllerConfig, plant_cfg: PlantConfig, scenario: Scenario, u0) -> str:
-    blob = json.dumps(
-        {
-            "alpha": ctrl_cfg.alpha,
-            "rho": ctrl_cfg.rho,
-            "tracking_gain": ctrl_cfg.tracking_gain,
-            "p_set_pu": ctrl_cfg.p_set_pu,
-            "v_min": [repr(float(x)) for x in ctrl_cfg.v_min],
-            "v_max": [repr(float(x)) for x in ctrl_cfg.v_max],
-            "max_step_pu": ctrl_cfg.max_step_pu,
-            "t_sample_s": plant_cfg.t_sample_s,
-            "actuation_delay": plant_cfg.actuation_delay,
-            "measurement_delay": plant_cfg.measurement_delay,
-            "noise_sigma": plant_cfg.noise_sigma,
-            "seed": plant_cfg.seed,
-            "droop_enabled": plant_cfg.droop_enabled,
-            "slack_v0": plant_cfg.slack_v0,
-            "scenario": scenario.name,
-            "u0": [repr(float(x)) for x in np.atleast_1d(u0)],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def run_closed_loop(
     net: NetworkModel,
     devices: DeviceSet,
@@ -201,7 +185,6 @@ def run_closed_loop(
 
     plant = Plant(net, devices, plant_cfg)
     state = plant.initial_state(u)
-    cfg_hash = _config_hash(ctrl_cfg, plant_cfg, scenario, u)
 
     dt = plant_cfg.t_sample_s
     n_samples = int(round(scenario.duration_s / dt)) + 1
@@ -230,9 +213,6 @@ def run_closed_loop(
 
     return TelemetryLog(
         records=tuple(records),
-        scenario_name=scenario.name,
-        seed=plant_cfg.seed,
-        config_hash=cfg_hash,
         t_sample_s=dt,
         s_base_va=net.s_base_va,
         fpu_buses=devices.fpu_buses,
@@ -261,7 +241,6 @@ class KpiReport:
     energy_kwh: tuple[tuple[str, float], ...]
     request_time_s: float
     settle_tol_kw: float
-    steady_tol_kw: float
 
     def render(self) -> str:
         lines = []
@@ -281,7 +260,7 @@ class KpiReport:
         lines.append(f"voltage_violation_samples: {self.violation_samples}")
         for label, kwh in self.energy_kwh:
             lines.append(f"energy[{label}]: {kwh:.6g} kWh")
-        lines.append(f"tolerances: settle<{self.settle_tol_kw} kW, steady<{self.steady_tol_kw} kW")
+        lines.append(f"tolerances: settle<{self.settle_tol_kw} kW, steady<{STEADY_TOL_KW} kW")
         return "\n".join(lines) + "\n"
 
 
@@ -289,16 +268,12 @@ def summarize(
     log: TelemetryLog,
     *,
     settle_tol_kw: float = SETTLE_TOL_KW,
-    steady_tol_kw: float = STEADY_TOL_KW,
-    steady_window: int = 10,
-    persist: int = 10,
-    v_guard: float = V_COUNT_GUARD_PU,
 ) -> KpiReport:
     """KPIs of one run: settling, steady-state error, band violations, energy.
 
     Settling is measured from the last request change to the first sample
-    whose tracking error stays below tolerance for ``persist`` consecutive
-    samples (later disturbances do not reopen the clock).
+    whose tracking error stays below tolerance for ``SETTLE_PERSIST``
+    consecutive samples (later disturbances do not reopen the clock).
     """
     if not log.records:
         raise ValueError("empty telemetry log")
@@ -319,30 +294,26 @@ def summarize(
     idx = np.nonzero(eligible)[0]
     below = err < settle_tol_kw
     for i in idx:
-        if np.all(below[i : i + persist]):
+        if np.all(below[i : i + SETTLE_PERSIST]):
             settled = True
             settling_time = float(times[i] - request_time)
             settling_iterations = int(round(settling_time / log.t_sample_s))
             break
 
-    tail = err[-min(steady_window, err.size):]
+    tail = err[-min(STEADY_WINDOW, err.size):]
     steady_err = float(np.max(tail))
 
     v = log.voltages_pu()
     over = np.maximum(v - log.v_max, log.v_min - v)
     max_violation = float(np.max(over))
-    oob = log.out_of_band(v_guard)
-    violation_samples = int(np.count_nonzero(oob))
+    violation_samples = int(np.count_nonzero(log.out_of_band()))
 
     s_kw = log.s_base_va / 1e3
     u = log.setpoints_pu()
-    energy = []
-    seen: dict[int, int] = {}
-    for j, bus in enumerate(log.fpu_buses):
-        seen[bus] = seen.get(bus, 0) + 1
-        tag = f"fpu{bus}" if seen[bus] == 1 else f"fpu{bus}_{seen[bus]}"
-        kwh = float(np.sum(u[:, 2 * j]) * s_kw * log.t_sample_s / 3600.0)
-        energy.append((tag, kwh))
+    energy = [
+        (tag, float(np.sum(u[:, 2 * j]) * s_kw * log.t_sample_s / 3600.0))
+        for j, tag in enumerate(log.fpu_tags())
+    ]
 
     return KpiReport(
         settled=settled,
@@ -355,7 +326,6 @@ def summarize(
         energy_kwh=tuple(energy),
         request_time_s=float(request_time),
         settle_tol_kw=settle_tol_kw,
-        steady_tol_kw=steady_tol_kw,
     )
 
 
@@ -394,13 +364,6 @@ class OpfResult:
     binding: tuple[str, ...]
 
 
-def _default_band(net: NetworkModel, band: float = 0.05):
-    v_nom = np.array(
-        [net.v_to_pu(net.buses[net.index(b)].v_nominal, b) for b in net.pq_ids]
-    )
-    return v_nom * (1.0 - band), v_nom * (1.0 + band)
-
-
 def reference_opf(
     net: NetworkModel,
     devices: DeviceSet,
@@ -409,13 +372,9 @@ def reference_opf(
     v_min: np.ndarray | None = None,
     v_max: np.ndarray | None = None,
     slack_v: float = 1.0,
-    droop_enabled: bool = True,
     loads_pu: np.ndarray | None = None,
     ev_pu: np.ndarray | None = None,
-    restarts: int = 10,
     seed: int = 0,
-    step: float = 0.5,
-    max_iter: int = 200,
 ) -> OpfResult:
     """Minimize total squared feed-in subject to the band, the device boxes
     and exact PCC tracking, against the true steady-state plant response.
@@ -432,8 +391,9 @@ def reference_opf(
     p = devices.n_setpoints
     lb, ub = devices.setpoint_bounds_pu(net.s_base_va)
     if v_min is None or v_max is None:
-        v_min, v_max = _default_band(net)
-    curves = droop_curves(net, devices) if droop_enabled else ()
+        n_pq = len(net.pq_ids)
+        v_min, v_max = np.full(n_pq, 1.0 - DEFAULT_BAND), np.full(n_pq, 1.0 + DEFAULT_BAND)
+    curves = droop_curves(net, devices)
 
     def respond(u, q0=None):
         # tight droop tolerance: the linearization assumes q = Q(V) exactly; at the
@@ -441,7 +401,7 @@ def reference_opf(
         sol, q, _ = steady_state_response(
             net, devices, u,
             loads_pu=loads_pu, ev_pu=ev_pu, slack_v=slack_v,
-            droop_enabled=droop_enabled, droop_q0=q0, tol=1e-13, max_iter=200,
+            droop_q0=q0, tol=1e-13, max_iter=200,
         )
         return sol.v_mag[1:].copy(), sol.pcc_power_pu, q, sol
 
@@ -457,7 +417,7 @@ def reference_opf(
         best_gap = np.inf
         best_phi = np.inf
         stall = 0
-        for _ in range(max_iter):
+        for _ in range(OPF_MAX_ITER):
             try:
                 v, pcc, q0, pf = respond(u, q0)
             except PlantDivergedError:
@@ -479,7 +439,7 @@ def reference_opf(
                 u_lin = u.copy()
             qp = QpProblem(
                 g=2.0 * u,
-                alpha=step,
+                alpha=OPF_STEP,
                 a_eq=dpcc[None, :],
                 b_eq=np.array([p_set_pu - pcc]),
                 eq_soft=np.array([True]),
@@ -492,7 +452,7 @@ def reference_opf(
             sol = solve_qp(qp)
             if sol.status != STATUS_OPTIMAL:
                 return None
-            u_new = np.clip(u + step * sol.w, lb, ub)
+            u_new = np.clip(u + OPF_STEP * sol.w, lb, ub)
             if np.max(np.abs(u_new - u)) < 1e-10:
                 if np.max(np.abs(u - u_lin)) < 1e-9:
                     u = u_new
@@ -511,7 +471,7 @@ def reference_opf(
     span = np.where(np.isfinite(ub - lb), ub - lb, 2.0)
     lo = np.where(np.isfinite(lb), lb, -1.0)
     starts = [np.zeros(p)]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(OPF_RESTARTS - 1):
         starts.append(lo + rng.uniform(0.1, 0.9, p) * span)
 
     best = None
@@ -559,22 +519,27 @@ def _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max):
 
 
 def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p):
-    """Best-effort tracking point used in infeasibility reports."""
+    """Best-effort tracking point used in infeasibility reports: Gauss-Newton
+    steps on the PCC gap, keeping the closest iterate and stopping at the
+    first step that does not bring the PCC power closer."""
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
     u = np.clip(np.zeros(p), lb, ub)
     q0 = None
-    pcc = 0.0
     u_lin = None
     dv = dpcc = None
+    best = None
     for _ in range(150):
         v, pcc, q0, pf = respond(u, q0)
+        gap = pcc - p_set_pu
+        if best is not None and abs(gap) >= abs(best[2] - p_set_pu):
+            break
+        best = (u, v, pcc)
+        if abs(gap) < 1e-9:
+            break
         if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
             dv, dpcc = local_jacobian(pf)
             u_lin = u.copy()
-        gap = pcc - p_set_pu
-        if abs(gap) < 1e-9:
-            break
         scale = max(float(dpcc @ dpcc), 1e-12)
         qp = QpProblem(
             g=dpcc * gap / scale,
@@ -590,10 +555,9 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
             break
         u_new = np.clip(u + sol.w, lb, ub)
         if np.max(np.abs(u_new - u)) < 1e-11:
-            u = u_new
             break
         u = u_new
-    v, pcc, _, _ = respond(u, q0)
+    u, v, pcc = best
     binding = []
     for j in range(p):
         if u[j] >= ub[j] - 1e-9:

@@ -200,7 +200,6 @@ class PlantState:
     ev_power: np.ndarray  # per charger, p.u. (<= 0 while charging)
     slack_v: float
     droop_q: np.ndarray  # per legacy inverter, p.u.
-    droop_ok: bool
     buffer: tuple[Measurement, ...]
 
 
@@ -282,7 +281,6 @@ class Plant:
             ev_power=np.zeros(len(self.devices.ev_points)),
             slack_v=cfg.slack_v0,
             droop_q=np.zeros(len(self.devices.legacy)),
-            droop_ok=True,
             buffer=(),
         )
         if cfg.measurement_delay > 0:
@@ -297,7 +295,8 @@ class Plant:
 
     # -- event application -------------------------------------------------
 
-    def _apply_events(self, state: PlantState, events) -> PlantState:
+    def apply_events(self, state: PlantState, events) -> PlantState:
+        """``state`` with the disturbances of ``events`` applied, in order."""
         loads = state.loads
         ev = state.ev_power
         slack = state.slack_v
@@ -348,10 +347,7 @@ class Plant:
         meas = Measurement.make(
             v, self._monitored, p_pcc, t, flags=() if ok else ("droop_limit",)
         )
-        new_state = replace(
-            state, applied=applied, droop_q=droop_q, droop_ok=ok, t=t
-        )
-        return new_state, meas
+        return replace(state, applied=applied, droop_q=droop_q, t=t), meas
 
     def step(
         self, state: PlantState, commanded: np.ndarray, events=()
@@ -364,7 +360,7 @@ class Plant:
         """
         cfg = self.config
         t = state.t + cfg.t_sample_s
-        state = self._apply_events(state, events)
+        state = self.apply_events(state, events)
 
         commanded = np.clip(np.asarray(commanded, dtype=float), self._lb, self._ub)
         pipeline = state.queue + (commanded,)

@@ -36,14 +36,11 @@ class SingularJacobianError(PowerFlowError):
 class PowerFlowSolution:
     """Converged (or explicitly non-converged) operating point.
 
-    Voltages are per-unit over the full bus set in model order; branch flows
-    are from-side injections in SI units.
+    Voltages are per-unit over the full bus set in model order.
     """
 
     v_mag: np.ndarray
     v_ang: np.ndarray
-    branch_p_w: np.ndarray
-    branch_q_var: np.ndarray
     pcc_power_w: float
     pcc_power_pu: float
     losses_w: float
@@ -109,8 +106,6 @@ def solve_power_flow(
     injections_pu: np.ndarray,
     slack_v: float = 1.0,
     *,
-    tol: float = MISMATCH_TOL,
-    max_iter: int = MAX_ITERATIONS,
     x0: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PowerFlowSolution:
     """Solve the network at the given per-PQ-bus (P, Q) injections.
@@ -173,14 +168,14 @@ def solve_power_flow(
     converged = False
     iterations = 0
     mismatch = np.inf
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITERATIONS + 1):
         f = _mismatch()
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
-        if mismatch < tol:
+        if mismatch < MISMATCH_TOL:
             converged = True
             iterations = it
             break
-        if it == max_iter:
+        if it == MAX_ITERATIONS:
             iterations = it
             break
         if not _newton_step(f, it):
@@ -206,28 +201,16 @@ def _package(
     mismatch: float,
 ) -> PowerFlowSolution:
     volts = v_mag * np.exp(1j * v_ang)
-    ys = net.branch_admittances()
     s_base = net.s_base_va
-
-    n_br = len(net.branches)
-    s_from = np.zeros(n_br, dtype=complex)
-    s_to = np.zeros(n_br, dtype=complex)
-    for k, br in enumerate(net.branches):
-        i = net.index(br.from_bus)
-        j = net.index(br.to_bus)
-        s_from[k] = volts[i] * np.conj((volts[i] - volts[j]) * ys[k])
-        s_to[k] = volts[j] * np.conj((volts[j] - volts[i]) * ys[k])
-
     # slack injection equals the power imported from the upstream grid
     i_slack = net.ybus[0, :] @ volts
     s_slack = volts[0] * np.conj(i_slack)
-    losses = float(np.sum(s_from.real + s_to.real)) * s_base
+    # losses are what all buses inject together, the slack included
+    losses = float(np.sum(volts * np.conj(net.ybus @ volts)).real) * s_base
 
     return PowerFlowSolution(
         v_mag=v_mag,
         v_ang=v_ang,
-        branch_p_w=s_from.real * s_base,
-        branch_q_var=s_from.imag * s_base,
         pcc_power_w=float(s_slack.real) * s_base,
         pcc_power_pu=float(s_slack.real),
         losses_w=losses,

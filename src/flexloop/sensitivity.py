@@ -28,22 +28,16 @@ class SensitivityMatrix:
 
     ``dv`` has one row per monitored bus and one column per setpoint entry,
     in p.u. voltage per p.u. power; ``dpcc`` is the PCC-power row in p.u.
-    per p.u. The operating point the map was linearized at is kept for
-    bookkeeping and re-linearization decisions.
+    per p.u.
     """
 
     dv: np.ndarray
     dpcc: np.ndarray
     monitored_buses: tuple[int, ...]
-    operating_point: np.ndarray
 
     @property
     def n_setpoints(self) -> int:
         return self.dpcc.shape[0]
-
-    def combined(self) -> np.ndarray:
-        """Voltage rows stacked on top of the PCC row."""
-        return np.vstack([self.dv, self.dpcc[None, :]])
 
     def scaled(self, factors_v: np.ndarray, factors_pcc: np.ndarray) -> "SensitivityMatrix":
         """Entry-wise scaled copy, used for model-mismatch studies."""
@@ -88,14 +82,13 @@ def compute_sensitivity(
     devices: DeviceSet,
     u0: np.ndarray,
     *,
-    slack_v: float = 1.0,
     monitored: tuple[int, ...] | None = None,
 ) -> SensitivityMatrix:
     """Analytic sensitivities around setpoint vector ``u0``.
 
     One power flow at ``u0`` on top of the static loads and legacy feed-in,
-    then :func:`linearize` at that solution; legacy droop output is held at
-    zero, as in the static model. Raises :class:`SensitivityError` when the
+    at slack voltage 1.0 p.u., then :func:`linearize` at that solution;
+    legacy droop output is held at zero, as in the static model. Raises :class:`SensitivityError` when the
     operating point does not converge.
     """
     u0 = np.asarray(u0, dtype=float)
@@ -105,8 +98,8 @@ def compute_sensitivity(
     monitored = net.pq_ids if monitored is None else tuple(monitored)
 
     inj = add_setpoint_injections(base_injections(net, devices), net, devices, u0)
-    ref = solve_power_flow(net, inj, slack_v)
+    ref = solve_power_flow(net, inj)
     if not ref.converged:
         raise SensitivityError("power flow does not converge at the operating point")
     dv, dpcc = linearize(net, devices, ref, monitored)
-    return SensitivityMatrix(dv, dpcc, monitored_buses=monitored, operating_point=u0.copy())
+    return SensitivityMatrix(dv, dpcc, monitored_buses=monitored)

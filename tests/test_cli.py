@@ -41,9 +41,9 @@ def test_run_empty_scenario_zero_error(tmp_path, capsys):
         assert abs(float(cells[i_pcc]) - float(cells[i_set])) < 1.5  # idle import only
 
 
-def test_compare_oracle_writes_gap(tmp_path, capsys):
+def oracle_gap(tmp_path, capsys, scenario):
     code, out, err = run_cli(
-        capsys, "--mode", "compare-oracle", "--scenario", "exp_a_14p5kw",
+        capsys, "--mode", "compare-oracle", "--scenario", scenario,
         "--out", str(tmp_path),
     )
     assert code == 0
@@ -51,8 +51,17 @@ def test_compare_oracle_writes_gap(tmp_path, capsys):
     fields = dict(
         line.split(": ", 1) for line in text.strip().split("\n") if ": " in line
     )
-    gap = float(fields["relative_gap"])
-    assert abs(gap) < 0.01
+    return float(fields["relative_gap"])
+
+
+def test_compare_oracle_writes_gap(tmp_path, capsys):
+    assert abs(oracle_gap(tmp_path, capsys, "exp_a_14p5kw")) < 0.01
+
+
+def test_compare_oracle_sees_end_of_scenario_disturbances(tmp_path, capsys):
+    # exp_b ends with a 14 kW EV charging; an oracle that solved the grid
+    # without it would report a relative gap of about 30
+    assert abs(oracle_gap(tmp_path, capsys, "exp_b_ev_disturbance")) < 0.01
 
 
 def test_sweep_alpha_settling_non_increasing_until_unstable(tmp_path, capsys):

@@ -11,7 +11,7 @@ from flexloop.fileio import (
     serialize_network,
     serialize_scenario,
 )
-from flexloop.grid import Fpu, Load, build_devices, build_network
+from flexloop.grid import DroopInverter, Fpu, Load, build_devices, build_network
 
 DATA = Path(__file__).parent.parent / "src" / "flexloop" / "data"
 
@@ -54,6 +54,14 @@ def test_units_are_kw_at_the_boundary(lab_spec):
     text = serialize_network(lab_spec)
     assert "p_max_kw=15" in text
     assert "p.u." not in text
+
+
+def test_absent_droop_knees_take_the_device_defaults():
+    text = "format: 1\n[buses]\n1 400 slack\n2 400 pq\n[devices]\ndroop 2 p_kw=2 q_max_kvar=6 v_hi=1.06\n"
+    (inv,) = parse_network_text(text).devices
+    default = DroopInverter(bus=2, p_fixed_w=2e3, q_max_var=6e3)
+    assert (inv.v_db_lo, inv.v_db_hi, inv.v_lo) == (default.v_db_lo, default.v_db_hi, default.v_lo)
+    assert inv.v_hi == 1.06
 
 
 def test_missing_format_header():

@@ -193,7 +193,7 @@ def test_summarize_violation_directly():
 
     log = TelemetryLog(
         records=tuple(rec(i, 1.051 if i == 3 else 1.0) for i in range(6)),
-        scenario_name="hand", seed=0, config_hash="x", t_sample_s=5.0,
+        t_sample_s=5.0,
         s_base_va=1e5, fpu_buses=(2,), monitored=(2,), v_bases=(400.0,),
         v_min=np.array([0.95]), v_max=np.array([1.05]),
         u_min=np.array([-1.0, -1.0]), u_max=np.array([1.0, 1.0]),
@@ -261,6 +261,34 @@ def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     assert any(b.startswith("u_max") for b in err.binding)
     assert err.closest_pu == pytest.approx(-0.287, abs=0.01)
     assert "unreachable" in str(err)
+
+
+def test_closest_attainable_keeps_its_closest_iterate(lab_net, lab_devices, monkeypatch):
+    # the certificate's first step reaches -0.287215 p.u.; later steps on a
+    # stale linearization drift away, so it must stop and keep the closest
+    import flexloop.harness as harness
+    import flexloop.qp as qp
+
+    calls = []
+    solve_qp = qp.solve_qp
+    certificate = harness._closest_attainable
+
+    def counting_certificate(*args):
+        def counting_solve(problem):
+            calls.append(1)
+            return solve_qp(problem)
+
+        monkeypatch.setattr(qp, "solve_qp", counting_solve)
+        try:
+            return certificate(*args)
+        finally:
+            monkeypatch.setattr(qp, "solve_qp", solve_qp)
+
+    monkeypatch.setattr(harness, "_closest_attainable", counting_certificate)
+    with pytest.raises(InfeasibleRequestError) as exc:
+        reference_opf(lab_net, lab_devices, p_set_pu=-0.60, seed=0)
+    assert 0 < len(calls) < 150
+    assert exc.value.closest_pu < -0.28721
 
 
 def test_random_feeders_deterministic():

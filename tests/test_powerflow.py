@@ -67,6 +67,14 @@ def test_kirchhoff_balance(lab_net, lab_devices):
         sol = solve_power_flow(lab_net, inj, 1.0)
         assert sol.converged
         assert kirchhoff_residual_pu(lab_net, sol, inj) < 1e-8
+        # losses summed branch by branch: |V_i - V_j|^2 Re(y_ij)
+        volts = sol.v_mag * np.exp(1j * sol.v_ang)
+        branch_losses_w = 0.0
+        for br in lab_net.branches:
+            i, j = lab_net.index(br.from_bus), lab_net.index(br.to_bus)
+            y = lab_net.z_base(br.from_bus) / complex(br.r_ohm, br.x_ohm)
+            branch_losses_w += abs(volts[i] - volts[j]) ** 2 * y.real * lab_net.s_base_va
+        assert sol.losses_w == pytest.approx(branch_losses_w, rel=1e-9, abs=1e-6)
 
 
 def test_jacobian_matches_finite_differences():

