@@ -134,8 +134,8 @@ def _run(args) -> int:
 
     log = run_closed_loop(net, devices, scenario, make_cfg(alphas[0]), plant_cfg)
     log.write_csv(out_dir / "telemetry.csv")
-    kpi = summarize(log)
-    (out_dir / "kpi.txt").write_text(kpi.render())
+    if log.records:  # a run aborted at its first sample has no KPIs
+        (out_dir / "kpi.txt").write_text(summarize(log).render())
     if log.abort_reason:
         raise _CliError(f"scenario aborted: {log.abort_reason}", 2)
 

@@ -192,6 +192,14 @@ class NetworkModel:
             y[j, i] -= ys
         return y
 
+    @cached_property
+    def ybus_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, col, G, B)`` of every nonzero entry of :attr:`ybus`, plus
+        the whole diagonal, row-major: each row's diagonal appears once."""
+        row, col = np.nonzero((self.ybus != 0) | np.eye(self.n_buses, dtype=bool))
+        y = self.ybus[row, col]
+        return row, col, y.real.copy(), y.imag.copy()
+
 
 def build_network(spec: NetworkSpec) -> NetworkModel:
     """Validate a parsed description and produce the ordered network model.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import Measurement
 from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections
-from .powerflow import PowerFlowSolution, solve_power_flow
+from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 
 DROOP_TOL = 1e-8
 DROOP_MAX_ITER = 50
@@ -34,7 +34,7 @@ PLANT_EVENT_KINDS = frozenset(EVENT_KINDS) - {"set_flexibility"}
 
 
 class PlantDivergedError(RuntimeError):
-    """The power flow inside a plant step failed to converge."""
+    """The power flow inside a plant step failed to converge or to solve."""
 
 
 class ScenarioError(ValueError):
@@ -51,10 +51,10 @@ class DroopCurve:
     """
 
     q_max: float
-    v_db_lo: float = 0.99
-    v_db_hi: float = 1.01
-    v_lo: float = 0.95
-    v_hi: float = 1.05
+    v_db_lo: float
+    v_db_hi: float
+    v_lo: float
+    v_hi: float
 
     def __post_init__(self) -> None:
         if not (self.v_lo < self.v_db_lo <= self.v_db_hi < self.v_hi):
@@ -222,16 +222,21 @@ def steady_state_response(
     output is stationary. Returns the power-flow solution, the droop outputs
     and a flag that is False when the inner loop hit its cap (the droop
     output is then frozen at the last iterate, mimicking a limiting
-    inverter). Raises :class:`PlantDivergedError` if the power flow itself
-    fails.
+    inverter). Each power flow after the first starts from the previous
+    iterate's voltages. Raises :class:`PlantDivergedError` if the power flow
+    itself fails, chained to the :class:`PowerFlowError` when it raised one.
     """
     if droop_q0 is None or not droop_enabled:
         droop_q0 = np.zeros(len(devices.legacy))
     q = np.array(droop_q0, dtype=float)
 
-    def _solve(q_vec: np.ndarray) -> PowerFlowSolution:
+    def _solve(q_vec: np.ndarray, x0: tuple[np.ndarray, np.ndarray] | None = None) -> PowerFlowSolution:
         inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu, droop_q=q_vec)
-        sol = solve_power_flow(net, add_setpoint_injections(inj, net, devices, u_pu), slack_v)
+        inj = add_setpoint_injections(inj, net, devices, u_pu)
+        try:
+            sol = solve_power_flow(net, inj, slack_v, x0=x0)
+        except PowerFlowError as exc:
+            raise PlantDivergedError(f"power flow failed: {exc}") from exc
         if not sol.converged:
             raise PlantDivergedError(
                 f"power flow did not converge (max mismatch {sol.max_mismatch_pu:.3e} p.u.)"
@@ -248,7 +253,7 @@ def steady_state_response(
         if np.max(np.abs(q_new - q), initial=0.0) < tol:
             return sol, q_new, True
         q = q_new
-        sol = _solve(q)
+        sol = _solve(q, (sol.v_mag, sol.v_ang))
     return sol, q, False  # frozen at the last iterate
 
 

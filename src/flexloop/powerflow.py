@@ -2,14 +2,18 @@
 
 State vector is polar: voltage angles and magnitudes at the PQ buses. The
 slack bus holds the commanded magnitude at zero angle. Power mismatches and
-the analytic Jacobian are evaluated from the trigonometric kernels
+the analytic Jacobian are evaluated over the nonzeros (i, k) of the bus
+admittance matrix only (``NetworkModel.ybus_nonzeros``), from the
+trigonometric terms
 
     t1[i,k] = G[i,k] cos(th_i - th_k) + B[i,k] sin(th_i - th_k)
     t2[i,k] = G[i,k] sin(th_i - th_k) - B[i,k] cos(th_i - th_k)
 
-so that P_i = V_i * sum_k V_k t1[i,k] and Q_i = V_i * sum_k V_k t2[i,k].
-This formulation avoids divisions by V and stays well defined (and exactly
-singular) at collapsed states, which the solver reports explicitly.
+summed per row: P_i = V_i * sum_k V_k t1[i,k], Q_i = V_i * sum_k V_k t2[i,k].
+An evaluation costs one pass over the nonzeros; the Newton step itself is a
+dense solve. This formulation avoids divisions by V and stays well defined
+(and exactly singular) at collapsed states, which the solver reports
+explicitly.
 """
 
 from __future__ import annotations
@@ -49,48 +53,50 @@ class PowerFlowSolution:
     max_mismatch_pu: float
 
 
-def _power_kernels(g: np.ndarray, b: np.ndarray, v_ang: np.ndarray):
-    dth = v_ang[:, None] - v_ang[None, :]
+def _kernels(net: NetworkModel, v_ang: np.ndarray):
+    """``t1``, ``t2`` (module docstring) at every nonzero of ``net.ybus``."""
+    i, k, g, b = net.ybus_nonzeros
+    dth = v_ang[i] - v_ang[k]
     cs = np.cos(dth)
     sn = np.sin(dth)
-    t1 = g * cs + b * sn
-    t2 = g * sn - b * cs
-    return t1, t2
+    return g * cs + b * sn, g * sn - b * cs
 
 
 def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     """Active/reactive injections implied by a voltage state, per-unit."""
-    y = net.ybus
-    t1, t2 = _power_kernels(y.real, y.imag, v_ang)
-    p = v_mag * (t1 @ v_mag)
-    q = v_mag * (t2 @ v_mag)
-    return p, q
+    i, k = net.ybus_nonzeros[:2]
+    t1, t2 = _kernels(net, v_ang)
+    vk = v_mag[k]
+    n = net.n_buses
+    return v_mag * np.bincount(i, vk * t1, n), v_mag * np.bincount(i, vk * t2, n)
 
 
 def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of every bus injection with respect to the PQ unknowns.
 
-    Ordering: rows are [dP; dQ] over the full bus set (slack first), columns
-    [d theta_pq; d V_pq]. Row 0 is the slack's active power, the PCC exchange.
+    Ordering: rows are [dP_pq; dQ_pq; dP_slack; dQ_slack], columns
+    [d theta_pq; d V_pq]. The first ``2 (n - 1)`` rows are the Newton
+    Jacobian; row ``-2`` is the slack's active power, the PCC exchange.
     """
-    y = net.ybus
-    g, b = y.real, y.imag
-    t1, t2 = _power_kernels(g, b, v_ang)
-    vv = np.outer(v_mag, v_mag)
-    c = vv * t1
-    s = vv * t2
-
-    dp_dth = s.copy()
-    np.fill_diagonal(dp_dth, -(s.sum(axis=1) - np.diag(s)))
-    dq_dth = -c
-    np.fill_diagonal(dq_dth, c.sum(axis=1) - np.diag(c))
-    dp_dv = v_mag[:, None] * t1
-    np.fill_diagonal(dp_dv, t1 @ v_mag + v_mag * np.diag(t1))
-    dq_dv = v_mag[:, None] * t2
-    np.fill_diagonal(dq_dv, t2 @ v_mag + v_mag * np.diag(t2))
-
-    pq = slice(1, None)
-    return np.block([[dp_dth[:, pq], dp_dv[:, pq]], [dq_dth[:, pq], dq_dv[:, pq]]])
+    i, k = net.ybus_nonzeros[:2]
+    n = net.n_buses
+    m = 2 * n - 2
+    t1, t2 = _kernels(net, v_ang)
+    vi, vk = v_mag[i], v_mag[k]
+    r1 = np.bincount(i, vk * t1, n)  # P_i = V_i r1_i
+    r2 = np.bincount(i, vk * t2, n)  # Q_i = V_i r2_i
+    # [[dP/dth_k, dP/dV_k], [dQ/dth_k, dQ/dV_k]] per nonzero (i, k); the
+    # diagonal entries, one per row in row order, add the row sums
+    terms = np.array([[vi * vk * t2, vi * t1], [-vi * vk * t1, vi * t2]])
+    terms[..., i == k] += np.array([[-v_mag * r2, r1], [v_mag * r1, r2]])
+    # bus i > 0 owns rows i - 1 (P) and n - 2 + i (Q), the slack the last
+    # two; column k > 0 is angle k - 1 or magnitude n - 2 + k
+    pq = k > 0
+    rows = np.where(i > 0, [i - 1, i + n - 2], [[m], [m + 1]])[:, None, pq]
+    cols = np.stack([k[pq] - 1, k[pq] + n - 2])[None]
+    jac = np.zeros((m + 2, m))
+    jac[rows, cols] = terms[..., pq]
+    return jac
 
 
 def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
@@ -98,7 +104,7 @@ def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> 
 
     Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
     """
-    return np.delete(power_jacobian(net, v_mag, v_ang), (0, net.n_buses), axis=0)
+    return power_jacobian(net, v_mag, v_ang)[:-2]
 
 
 def solve_power_flow(

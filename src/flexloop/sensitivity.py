@@ -62,7 +62,7 @@ def linearize(
     the droop output is held fixed.
     """
     full = power_jacobian(net, sol.v_mag, sol.v_ang)
-    jac = np.delete(full, (0, net.n_buses), axis=0)
+    jac = full[:-2]
     if droop_slopes is not None:
         dq_dv = pq_positions(net, [inv.bus for inv in devices.legacy])[1::2]
         np.subtract.at(jac, (dq_dv, dq_dv), droop_slopes)
@@ -74,7 +74,7 @@ def linearize(
     except np.linalg.LinAlgError as exc:
         raise SensitivityError("singular Jacobian at the operating point") from exc
     dv = dx[pq_positions(net, monitored)[1::2]]
-    return dv, full[0] @ dx
+    return dv, full[-2] @ dx
 
 
 def compute_sensitivity(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the implementation paths they check: the two-bus
 voltage comes from the closed-form quadratic, the power-flow sweep is a
-fixed-point (impedance-matrix) iteration rather than Newton, and the QP
-oracle enumerates active sets by brute force.
+fixed-point (impedance-matrix) iteration rather than Newton, bus powers come
+from the dense complex admittance product rather than the per-nonzero
+kernels, losses are summed branch by branch, and the QP oracle enumerates
+active sets by brute force.
 """
 
 from __future__ import annotations
@@ -69,6 +71,23 @@ def zbus_power_flow(
     v = np.concatenate([[v_s], v_r])
     s_slack = v[0] * np.conj(y[0, :] @ v)
     return v, float(s_slack.real)
+
+
+def dense_bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
+    """Bus injections ``S = V * conj(Ybus V)`` from the dense matrix, as (P, Q)."""
+    volts = v_mag * np.exp(1j * v_ang)
+    s = volts * np.conj(net.ybus @ volts)
+    return s.real, s.imag
+
+
+def branch_losses_w(net: NetworkModel, volts: np.ndarray) -> float:
+    """Series losses summed branch by branch, ``|V_i - V_j|^2 Re(y_ij)``, in W."""
+    total = 0.0
+    for br in net.branches:
+        i, j = net.index(br.from_bus), net.index(br.to_bus)
+        y = net.z_base(br.from_bus) / complex(br.r_ohm, br.x_ohm)
+        total += abs(volts[i] - volts[j]) ** 2 * y.real
+    return total * net.s_base_va
 
 
 def _one_sided_rows(p: QpProblem):

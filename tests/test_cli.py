@@ -115,6 +115,23 @@ def test_diverging_scenario_is_runtime_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_singular_plant_power_flow_is_runtime_error(tmp_path, capsys, monkeypatch):
+    import flexloop.plant as plant_module
+    from flexloop.powerflow import SingularJacobianError
+
+    def singular(*args, **kwargs):
+        raise SingularJacobianError("singular Jacobian at iteration 0")
+
+    # fails at the first sample: the telemetry has its header only, no KPIs
+    monkeypatch.setattr(plant_module, "solve_power_flow", singular)
+    code, out, err = run_cli(capsys, "--scenario", "exp_a_14p5kw", "--out", str(tmp_path))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "singular Jacobian" in err
+    assert (tmp_path / "telemetry.csv").read_text().count("\n") == 1
+    assert not (tmp_path / "kpi.txt").exists()
+
+
 def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLEXLOOP_OUT", str(tmp_path / "envdir"))
     code, out, err = run_cli(capsys, "--scenario", "exp_a_14p5kw")

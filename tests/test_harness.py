@@ -80,6 +80,26 @@ def test_plant_divergence_truncates_log(lab_net, lab_devices):
     assert 0 < len(log.records) < 21
 
 
+def test_singular_jacobian_in_plant_truncates_log(lab_net, lab_devices, exp_a, monkeypatch):
+    import flexloop.plant as plant_module
+    from flexloop.powerflow import SingularJacobianError
+
+    solve = plant_module.solve_power_flow
+    calls = []
+
+    def singular_later(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 10:
+            raise SingularJacobianError("singular Jacobian at iteration 0")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(plant_module, "solve_power_flow", singular_later)
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
+    assert 0 < len(log.records) <= 10
+    assert "singular Jacobian" in log.abort_reason
+
+
 def test_exp_a_total_injection_and_split(lab_net, lab_devices, exp_a):
     # request plus local load plus losses: about 15.5 kW total feed-in,
     # split unevenly in favor of the unit electrically closer to the PCC

@@ -30,21 +30,23 @@ from flexloop.powerflow import solve_power_flow
 
 # --- droop curve -------------------------------------------------------------
 
+KNEES = dict(v_db_lo=0.99, v_db_hi=1.01, v_lo=0.95, v_hi=1.05)
+
 
 def test_droop_zero_in_deadband():
-    c = DroopCurve(q_max=0.06)
+    c = DroopCurve(q_max=0.06, **KNEES)
     for v in (0.99, 1.0, 1.005, 1.01):
         assert qv_droop(c, v) == 0.0
 
 
 def test_droop_full_absorption_at_upper_knee():
-    c = DroopCurve(q_max=0.06)
+    c = DroopCurve(q_max=0.06, **KNEES)
     assert qv_droop(c, 1.05) == pytest.approx(-0.06)
     assert qv_droop(c, 1.08) == pytest.approx(-0.06)  # clamped
 
 
 def test_droop_half_output_midway():
-    c = DroopCurve(q_max=0.06)
+    c = DroopCurve(q_max=0.06, **KNEES)
     assert qv_droop(c, 1.03) == pytest.approx(-0.03)
     assert qv_droop(c, 0.97) == pytest.approx(0.03)
 
@@ -58,7 +60,7 @@ def test_droop_monotone_nonincreasing_and_continuous():
 
 
 def test_droop_slope_matches_curve():
-    c = DroopCurve(q_max=0.06)
+    c = DroopCurve(q_max=0.06, **KNEES)
     for v in (0.9, 0.97, 1.0, 1.03, 1.08):  # clamped, ramps, deadband
         fd = (qv_droop(c, v + 1e-6) - qv_droop(c, v - 1e-6)) / 2e-6
         assert qv_droop_slope(c, v) == pytest.approx(fd, abs=1e-6)
@@ -67,9 +69,9 @@ def test_droop_slope_matches_curve():
 
 def test_droop_curve_validation():
     with pytest.raises(ValueError):
-        DroopCurve(q_max=0.05, v_db_lo=0.9, v_lo=0.95)
+        DroopCurve(q_max=0.05, v_db_lo=0.9, v_db_hi=1.01, v_lo=0.95, v_hi=1.05)
     with pytest.raises(ValueError):
-        qv_droop(DroopCurve(q_max=0.05), -1.0)
+        qv_droop(DroopCurve(q_max=0.05, **KNEES), -1.0)
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -187,6 +189,32 @@ def test_droop_fixed_point_unique_from_multiple_starts(lab_net, lab_devices):
         assert ok
         results.append(q[0])
     assert max(results) - min(results) < 1e-7
+
+
+def test_droop_warm_start_reaches_the_cold_fixed_point(lab_net, lab_devices, monkeypatch):
+    import flexloop.plant as plant_module
+
+    solve = plant_module.solve_power_flow
+    starts = []
+
+    def recording(*args, x0=None):
+        starts.append(x0)
+        return solve(*args, x0=x0)
+
+    u = np.array([0.1, 0.0, 0.05, 0.0])
+    monkeypatch.setattr(plant_module, "solve_power_flow", recording)
+    warm, q_warm, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04)
+    assert ok
+    assert len(starts) >= 3  # the droop loop iterated
+    assert starts[0] is None
+    assert all(x0 is not None for x0 in starts[1:])
+
+    monkeypatch.setattr(plant_module, "solve_power_flow", lambda *args, x0=None: solve(*args))
+    cold, q_cold, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04)
+    assert ok
+    np.testing.assert_allclose(q_warm, q_cold, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(warm.v_mag, cold.v_mag, rtol=0, atol=1e-9)
+    assert warm.pcc_power_pu == pytest.approx(cold.pcc_power_pu, abs=1e-9)
 
 
 def test_plant_memoryless(lab_net, lab_devices):

@@ -7,10 +7,32 @@ from flexloop.powerflow import (
     bus_powers,
     kirchhoff_residual_pu,
     newton_jacobian,
+    power_jacobian,
     solve_power_flow,
 )
 
-from oracles import two_bus_voltage, zbus_power_flow
+from oracles import branch_losses_w, dense_bus_powers, two_bus_voltage, zbus_power_flow
+
+
+def _meshed_net():
+    """Six buses with one loop (2-3-4-5) and two parallel branches 5-6."""
+    buses = (Bus(1, 400.0, "slack"),) + tuple(Bus(i, 400.0, "pq") for i in range(2, 7))
+    branches = (
+        Branch(1, 2, 0.02, 0.01),
+        Branch(2, 3, 0.05, 0.02),
+        Branch(3, 4, 0.04, 0.03),
+        Branch(2, 5, 0.06, 0.02),
+        Branch(4, 5, 0.03, 0.015),
+        Branch(5, 6, 0.08, 0.03),
+        Branch(5, 6, 0.07, 0.035),
+    )
+    return build_network(NetworkSpec(buses=buses, branches=branches))
+
+
+def _random_state(rng, n):
+    vm = 1.0 + rng.uniform(-0.03, 0.03, n)
+    va = np.concatenate([[0.0], rng.uniform(-0.02, 0.02, n - 1)])
+    return vm, va
 
 
 def test_flat_no_load(two_bus):
@@ -52,6 +74,7 @@ def test_lab_feeder_against_zbus_oracle(lab_net, lab_devices):
     v_oracle, pcc_oracle = zbus_power_flow(lab_net, inj, 1.0)
     np.testing.assert_allclose(sol.v_mag, np.abs(v_oracle), atol=1e-9)
     assert sol.pcc_power_pu == pytest.approx(pcc_oracle, abs=1e-9)
+    assert sol.losses_w == pytest.approx(branch_losses_w(lab_net, v_oracle), rel=1e-9, abs=1e-6)
 
     # exports roughly injection minus local load, reduced by losses
     assert sol.pcc_power_w < 0
@@ -67,28 +90,64 @@ def test_kirchhoff_balance(lab_net, lab_devices):
         sol = solve_power_flow(lab_net, inj, 1.0)
         assert sol.converged
         assert kirchhoff_residual_pu(lab_net, sol, inj) < 1e-8
-        # losses summed branch by branch: |V_i - V_j|^2 Re(y_ij)
         volts = sol.v_mag * np.exp(1j * sol.v_ang)
-        branch_losses_w = 0.0
-        for br in lab_net.branches:
-            i, j = lab_net.index(br.from_bus), lab_net.index(br.to_bus)
-            y = lab_net.z_base(br.from_bus) / complex(br.r_ohm, br.x_ohm)
-            branch_losses_w += abs(volts[i] - volts[j]) ** 2 * y.real * lab_net.s_base_va
-        assert sol.losses_w == pytest.approx(branch_losses_w, rel=1e-9, abs=1e-6)
+        assert sol.losses_w == pytest.approx(branch_losses_w(lab_net, volts), rel=1e-9, abs=1e-6)
+
+
+def test_bus_powers_match_dense_reference_on_meshed_feeder():
+    net = _meshed_net()
+    # the parallel branches share one entry pair; every diagonal is listed
+    assert len(net.ybus_nonzeros[0]) == 6 + 2 * 6
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        vm, va = _random_state(rng, net.n_buses)
+        p, q = bus_powers(net, vm, va)
+        p_ref, q_ref = dense_bus_powers(net, vm, va)
+        assert np.max(np.abs(p - p_ref)) < 1e-12
+        assert np.max(np.abs(q - q_ref)) < 1e-12
+
+
+def test_power_jacobian_matches_dense_central_differences():
+    # rows [P_pq; Q_pq; P_slack; Q_slack], columns [theta_pq; V_pq]
+    net = _meshed_net()
+    n = net.n_buses
+    rng = np.random.default_rng(12)
+    vm, va = _random_state(rng, n)
+    jac = power_jacobian(net, vm, va)
+    order = np.r_[1:n, 0]
+    h = 1e-6
+    x = np.concatenate([va[1:], vm[1:]])
+    fd = np.zeros_like(jac)
+    for col in range(2 * n - 2):
+        powers = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[col] += sign * h
+            p, q = dense_bus_powers(
+                net, np.concatenate([vm[:1], xs[n - 1:]]), np.concatenate([[0.0], xs[:n - 1]])
+            )
+            powers.append(np.concatenate([p[order][:-1], q[order][:-1], [p[0], q[0]]]))
+        fd[:, col] = (powers[0] - powers[1]) / (2 * h)
+    scale = max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(jac - fd)) / scale < 1e-8
+    assert np.array_equal(newton_jacobian(net, vm, va), jac[:-2])
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
-    for trial in range(5):
-        n = int(rng.integers(3, 6))
-        buses = [Bus(1, 400.0, "slack")] + [Bus(i, 400.0, "pq") for i in range(2, n + 1)]
-        branches = [
-            Branch(int(rng.integers(1, i)), i, float(rng.uniform(0.01, 0.08)), float(rng.uniform(0.005, 0.04)))
-            for i in range(2, n + 1)
-        ]
-        net = build_network(NetworkSpec(buses=tuple(buses), branches=tuple(branches)))
-        vm = 1.0 + rng.uniform(-0.03, 0.03, n)
-        va = np.concatenate([[0.0], rng.uniform(-0.02, 0.02, n - 1)])
+    for trial in range(6):
+        if trial == 5:
+            net = _meshed_net()
+            n = net.n_buses
+        else:
+            n = int(rng.integers(3, 6))
+            buses = [Bus(1, 400.0, "slack")] + [Bus(i, 400.0, "pq") for i in range(2, n + 1)]
+            branches = [
+                Branch(int(rng.integers(1, i)), i, float(rng.uniform(0.01, 0.08)), float(rng.uniform(0.005, 0.04)))
+                for i in range(2, n + 1)
+            ]
+            net = build_network(NetworkSpec(buses=tuple(buses), branches=tuple(branches)))
+        vm, va = _random_state(rng, n)
         jac = newton_jacobian(net, vm, va)
 
         h = 1e-6
