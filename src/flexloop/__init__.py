@@ -23,6 +23,7 @@ from .grid import (
     Bus,
     DeviceSet,
     DroopInverter,
+    DroopLaw,
     EvCharger,
     Fpu,
     Load,
@@ -31,6 +32,7 @@ from .grid import (
     NetworkValidationError,
     build_devices,
     build_network,
+    droop_law,
 )
 from .harness import (
     InfeasibleRequestError,
@@ -43,7 +45,6 @@ from .harness import (
     summarize,
 )
 from .plant import (
-    DroopCurve,
     Plant,
     PlantConfig,
     PlantDivergedError,
@@ -51,7 +52,6 @@ from .plant import (
     Scenario,
     ScenarioError,
     ScenarioEvent,
-    qv_droop,
     schedule,
     steady_state_response,
 )

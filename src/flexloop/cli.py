@@ -125,6 +125,8 @@ def _run(args) -> int:
         lines = ["alpha,settled,settling_iterations"]
         for alpha in alphas:
             log = run_closed_loop(net, devices, scenario, make_cfg(alpha), plant_cfg)
+            if log.abort_reason:
+                raise _CliError(f"scenario aborted: {log.abort_reason}", 2)
             kpi = summarize(log)
             iters = kpi.settling_iterations if kpi.settled else ""
             lines.append(f"{alpha:g},{int(kpi.settled)},{iters}")

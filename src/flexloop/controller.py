@@ -44,10 +44,9 @@ class Measurement:
     timestamp: float
     v_valid: np.ndarray
     pcc_valid: bool = True
-    flags: tuple[str, ...] = ()
 
     @staticmethod
-    def make(v, bus_ids, p_pcc, timestamp, flags=()) -> "Measurement":
+    def make(v, bus_ids, p_pcc, timestamp) -> "Measurement":
         """Measurement whose channels are valid exactly where they are finite."""
         v = np.asarray(v, dtype=float)
         return Measurement(
@@ -57,7 +56,6 @@ class Measurement:
             timestamp=float(timestamp),
             v_valid=np.isfinite(v),
             pcc_valid=bool(np.isfinite(p_pcc)),
-            flags=tuple(flags),
         )
 
     @property

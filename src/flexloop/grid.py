@@ -351,22 +351,19 @@ def build_devices(spec: NetworkSpec, net: NetworkModel) -> DeviceSet:
 def base_injections(
     net: NetworkModel, devices: DeviceSet, *,
     loads_pu: np.ndarray | None = None, ev_pu: np.ndarray | None = None,
-    droop_q: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-PQ-bus (P, Q) injections of every uncontrolled device, per-unit.
 
     Loads enter negatively with ``loads_pu`` (default: as described), legacy
-    inverters with their fixed active feed-in and reactive output
-    ``droop_q`` (default: zero), EV chargers with their nonpositive power
-    ``ev_pu`` (default: idle). Controllable setpoints are added on top by
-    :func:`add_setpoint_injections`.
+    inverters with their fixed active feed-in only (their reactive output
+    follows :class:`DroopLaw` inside the power flow), EV chargers with their
+    nonpositive power ``ev_pu`` (default: idle). Controllable setpoints are
+    added on top by :func:`add_setpoint_injections`.
     """
     s = net.s_base_va
     loads_pu = devices.static_loads_pu(s) if loads_pu is None else loads_pu
     legacy = np.zeros((len(devices.legacy), 2))
     legacy[:, 0] = [inv.p_fixed_w / s for inv in devices.legacy]
-    if droop_q is not None:
-        legacy[:, 1] = droop_q
     ev = np.zeros((len(devices.ev_points), 2))
     if ev_pu is not None:
         ev[:, 0] = ev_pu
@@ -379,6 +376,50 @@ def pq_positions(net: NetworkModel, buses: tuple[int, ...] | list[int]) -> np.nd
     entries ``2k`` and ``2k + 1`` belong to ``buses[k]``."""
     rows = np.array([net.pq_row(b) for b in buses], dtype=int)
     return (rows[:, None] + np.array([0, len(net.pq_ids)])).ravel()
+
+
+@dataclass(frozen=True)
+class DroopLaw:
+    """The legacy inverters' piecewise-linear Q(V) laws, per-unit, one entry
+    per inverter.
+
+    Zero inside the deadband ``[v_db_lo, v_db_hi]``; below it the output
+    ramps up with ``gain_lo`` to full injection ``q_max`` (reached at the
+    inverter's ``v_lo``), above it down with ``gain_hi`` to full absorption
+    (at ``v_hi``), clamped beyond: continuous and monotonically
+    non-increasing. ``rows`` places each inverter's Q in the stacked vector
+    ``[P_pq; Q_pq]`` (:func:`pq_positions`), ``buses`` its terminal in the
+    full bus set.
+    """
+
+    rows: np.ndarray
+    buses: np.ndarray
+    q_max: np.ndarray
+    v_db_lo: np.ndarray
+    v_db_hi: np.ndarray
+    gain_lo: np.ndarray
+    gain_hi: np.ndarray
+
+    def response(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q(V), dQ/dV)`` at terminal voltages ``v``; the slope is the
+        ramp's on a ramp and zero elsewhere."""
+        lo = (self.v_db_lo - v) * self.gain_lo  # injection called for below the deadband
+        hi = (v - self.v_db_hi) * self.gain_hi  # absorption called for above it
+        q = np.minimum(np.maximum(lo, 0.0), self.q_max) - np.minimum(np.maximum(hi, 0.0), self.q_max)
+        on_lo = (lo > 0.0) & (lo < self.q_max)  # on a ramp
+        on_hi = (hi > 0.0) & (hi < self.q_max)
+        return q, -self.gain_lo * on_lo - self.gain_hi * on_hi
+
+
+def droop_law(net: NetworkModel, devices: DeviceSet) -> DroopLaw:
+    """:class:`DroopLaw` of ``devices.legacy`` on ``net``, in device order."""
+    inv = devices.legacy
+    rows = pq_positions(net, [d.bus for d in inv])[1::2]
+    q_max, db_lo, db_hi, v_lo, v_hi = np.array(
+        [(d.q_max_var / net.s_base_va, d.v_db_lo, d.v_db_hi, d.v_lo, d.v_hi) for d in inv], dtype=float
+    ).reshape(-1, 5).T
+    buses = rows - len(net.pq_ids) + 1
+    return DroopLaw(rows, buses, q_max, db_lo, db_hi, q_max / (db_lo - v_lo), q_max / (v_hi - db_hi))
 
 
 def _sum_on_buses(net: NetworkModel, buses: tuple[int, ...] | list[int], pq: np.ndarray) -> np.ndarray:

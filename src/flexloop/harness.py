@@ -23,14 +23,14 @@ from .controller import (
     controller_step,
     set_flexibility_request,
 )
-from .grid import DeviceSet, NetworkModel, Branch, Bus, Fpu, Load, NetworkSpec, build_devices, build_network
+from .grid import (
+    DeviceSet, NetworkModel, Branch, Bus, Fpu, Load, NetworkSpec, build_devices, build_network, droop_law,
+)
 from .plant import (
     Plant,
     PlantConfig,
     PlantDivergedError,
     Scenario,
-    droop_curves,
-    qv_droop_slope,
     schedule,
     steady_state_response,
     validate_scenario,
@@ -380,8 +380,8 @@ def reference_opf(
     and exact PCC tracking, against the true steady-state plant response.
 
     Projected-gradient descent with locally refreshed analytic
-    linearizations (the legacy Q(V) slopes folded into the power-flow
-    Jacobian at the droop fixed point), restarted from random interior
+    linearizations (the Jacobian of the one power flow that solves the grid
+    and its legacy Q(V) droop together), restarted from random interior
     points; the best feasible stationary point wins. Raises
     :class:`InfeasibleRequestError` with the closest attainable PCC power
     and the binding limits when the request is out of reach.
@@ -393,25 +393,21 @@ def reference_opf(
     if v_min is None or v_max is None:
         n_pq = len(net.pq_ids)
         v_min, v_max = np.full(n_pq, 1.0 - DEFAULT_BAND), np.full(n_pq, 1.0 + DEFAULT_BAND)
-    curves = droop_curves(net, devices)
+    droop = droop_law(net, devices)
 
-    def respond(u, q0=None):
-        # tight droop tolerance: the linearization assumes q = Q(V) exactly; at the
-        # plant's 1e-8 the stationarity certificate degrades ~20x on a droop ramp
-        sol, q, _ = steady_state_response(
-            net, devices, u,
-            loads_pu=loads_pu, ev_pu=ev_pu, slack_v=slack_v,
-            droop_q0=q0, tol=1e-13, max_iter=200,
+    def respond(u, prev=None):
+        sol, _, _ = steady_state_response(
+            net, devices, u, loads_pu=loads_pu, ev_pu=ev_pu, slack_v=slack_v,
+            x0=None if prev is None else (prev.v_mag, prev.v_ang),
         )
-        return sol.v_mag[1:].copy(), sol.pcc_power_pu, q, sol
+        return sol.v_mag[1:].copy(), sol.pcc_power_pu, sol
 
     def local_jacobian(sol):
-        slopes = [qv_droop_slope(c, sol.v_mag[i]) for c, i in curves] if curves else None
-        return linearize(net, devices, sol, net.pq_ids, slopes)
+        return linearize(net, devices, sol, net.pq_ids, droop)
 
     def descend(u_start):
         u = np.clip(u_start, lb, ub)
-        q0 = None
+        pf = None
         u_lin = None
         dv = dpcc = None
         best_gap = np.inf
@@ -419,7 +415,7 @@ def reference_opf(
         stall = 0
         for _ in range(OPF_MAX_ITER):
             try:
-                v, pcc, q0, pf = respond(u, q0)
+                v, pcc, pf = respond(u, pf)
             except PlantDivergedError:
                 return None
             # no progress in tracking or objective: stuck at a saturated
@@ -462,7 +458,7 @@ def reference_opf(
                 u_lin = u.copy()
                 continue
             u = u_new
-        v, pcc, _, pf = respond(u, q0)
+        v, pcc, pf = respond(u, pf)
         dv, dpcc = local_jacobian(pf)
         stat, binding = _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max)
         return u, float(np.sum(u * u)), pcc, stat, binding
@@ -525,12 +521,12 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
     u = np.clip(np.zeros(p), lb, ub)
-    q0 = None
+    pf = None
     u_lin = None
     dv = dpcc = None
     best = None
     for _ in range(150):
-        v, pcc, q0, pf = respond(u, q0)
+        v, pcc, pf = respond(u, pf)
         gap = pcc - p_set_pu
         if best is not None and abs(gap) >= abs(best[2] - p_set_pu):
             break

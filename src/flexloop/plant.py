@@ -1,8 +1,9 @@
 """Quasi-static plant standing in for the physical grid.
 
-One step per sampling interval: scheduled disturbances are applied, the
-legacy Q(V) droop is iterated to its fixed point against the power flow,
-and a (optionally noisy, optionally delayed) measurement is emitted.
+One step per sampling interval: scheduled disturbances are applied, one
+power flow solves the grid together with the legacy inverters' Q(V) droop,
+warm-started from the previous sample's voltages, and a (optionally noisy,
+optionally delayed) measurement is emitted.
 Network and inverter dynamics are assumed settled within one sample.
 
 The plant is a pure state machine: ``Plant.step`` maps an old state and a
@@ -17,11 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import Measurement
-from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections
+from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections, droop_law
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
-
-DROOP_TOL = 1e-8
-DROOP_MAX_ITER = 50
 
 EVENT_KINDS = {
     "set_flexibility": ("p_set_kw",),
@@ -39,60 +37,6 @@ class PlantDivergedError(RuntimeError):
 
 class ScenarioError(ValueError):
     """A scenario violates an ordering or payload rule."""
-
-
-@dataclass(frozen=True)
-class DroopCurve:
-    """Piecewise-linear Q(V) law, all quantities per-unit.
-
-    Zero inside the deadband, linear ramps to full absorption at ``v_hi``
-    and full injection at ``v_lo``, clamped beyond. Monotonically
-    non-increasing and continuous by construction.
-    """
-
-    q_max: float
-    v_db_lo: float
-    v_db_hi: float
-    v_lo: float
-    v_hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.v_lo < self.v_db_lo <= self.v_db_hi < self.v_hi):
-            raise ValueError("droop curve knees must satisfy v_lo < db_lo <= db_hi < v_hi")
-        if self.q_max < 0:
-            raise ValueError("droop q_max must be nonnegative")
-
-
-def qv_droop(curve: DroopCurve, v: float) -> float:
-    """Reactive response to a terminal voltage, per-unit."""
-    if v <= 0:
-        raise ValueError("voltage must be positive")
-    if v > curve.v_db_hi:
-        frac = min(1.0, (v - curve.v_db_hi) / (curve.v_hi - curve.v_db_hi))
-        return -curve.q_max * frac
-    if v < curve.v_db_lo:
-        frac = min(1.0, (curve.v_db_lo - v) / (curve.v_db_lo - curve.v_lo))
-        return curve.q_max * frac
-    return 0.0
-
-
-def qv_droop_slope(curve: DroopCurve, v: float) -> float:
-    """Derivative of :func:`qv_droop`: the ramp's slope on a ramp, else 0."""
-    if curve.v_db_hi < v < curve.v_hi:
-        return -curve.q_max / (curve.v_hi - curve.v_db_hi)
-    if curve.v_lo < v < curve.v_db_lo:
-        return -curve.q_max / (curve.v_db_lo - curve.v_lo)
-    return 0.0
-
-
-def droop_curves(net: NetworkModel, devices: DeviceSet) -> tuple[tuple[DroopCurve, int], ...]:
-    """Per legacy inverter, its per-unit Q(V) law and its bus's index into
-    the full bus set, in device order."""
-    s = net.s_base_va
-    return tuple(
-        (DroopCurve(inv.q_max_var / s, inv.v_db_lo, inv.v_db_hi, inv.v_lo, inv.v_hi), net.index(inv.bus))
-        for inv in devices.legacy
-    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +120,6 @@ class PlantConfig:
     measurement_delay: int = 0
     noise_sigma: float = 0.0  # p.u., applied to every channel
     seed: int = 0
-    droop_enabled: bool = True
     slack_v0: float = 1.0
 
     def __post_init__(self) -> None:
@@ -199,7 +142,7 @@ class PlantState:
     loads: np.ndarray  # current (P, Q) per load, p.u.
     ev_power: np.ndarray  # per charger, p.u. (<= 0 while charging)
     slack_v: float
-    droop_q: np.ndarray  # per legacy inverter, p.u.
+    voltages: tuple[np.ndarray, np.ndarray] | None  # last (v_mag, v_ang), the next warm start
     buffer: tuple[Measurement, ...]
 
 
@@ -211,50 +154,28 @@ def steady_state_response(
     loads_pu: np.ndarray | None = None,
     ev_pu: np.ndarray | None = None,
     slack_v: float = 1.0,
-    droop_enabled: bool = True,
-    droop_q0: np.ndarray | None = None,
-    tol: float = DROOP_TOL,
-    max_iter: int = DROOP_MAX_ITER,
+    x0: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[PowerFlowSolution, np.ndarray, bool]:
     """Resolve the grid's steady state for given setpoints and disturbances.
 
-    Iterates the legacy droop against the power flow until the reactive
-    output is stationary. Returns the power-flow solution, the droop outputs
-    and a flag that is False when the inner loop hit its cap (the droop
-    output is then frozen at the last iterate, mimicking a limiting
-    inverter). Each power flow after the first starts from the previous
-    iterate's voltages. Raises :class:`PlantDivergedError` if the power flow
-    itself fails, chained to the :class:`PowerFlowError` when it raised one.
+    One power flow, warm-started from the voltages ``x0`` when given, solves
+    the grid together with every legacy inverter's ``q = Q(V)``. Returns the
+    power-flow solution, the droop outputs at its voltages and ``True``: a
+    power flow that fails raises :class:`PlantDivergedError`, chained to the
+    :class:`PowerFlowError` when it raised one, so there is no other outcome.
     """
-    if droop_q0 is None or not droop_enabled:
-        droop_q0 = np.zeros(len(devices.legacy))
-    q = np.array(droop_q0, dtype=float)
-
-    def _solve(q_vec: np.ndarray, x0: tuple[np.ndarray, np.ndarray] | None = None) -> PowerFlowSolution:
-        inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu, droop_q=q_vec)
-        inj = add_setpoint_injections(inj, net, devices, u_pu)
-        try:
-            sol = solve_power_flow(net, inj, slack_v, x0=x0)
-        except PowerFlowError as exc:
-            raise PlantDivergedError(f"power flow failed: {exc}") from exc
-        if not sol.converged:
-            raise PlantDivergedError(
-                f"power flow did not converge (max mismatch {sol.max_mismatch_pu:.3e} p.u.)"
-            )
-        return sol
-
-    if not droop_enabled or not devices.legacy:
-        return _solve(q), q, True
-
-    curves = droop_curves(net, devices)
-    sol = _solve(q)
-    for _ in range(max_iter):
-        q_new = np.array([qv_droop(c, sol.v_mag[i]) for c, i in curves])
-        if np.max(np.abs(q_new - q), initial=0.0) < tol:
-            return sol, q_new, True
-        q = q_new
-        sol = _solve(q, (sol.v_mag, sol.v_ang))
-    return sol, q, False  # frozen at the last iterate
+    inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu)
+    inj = add_setpoint_injections(inj, net, devices, u_pu)
+    droop = droop_law(net, devices)
+    try:
+        sol = solve_power_flow(net, inj, slack_v, x0=x0, droop=droop)
+    except PowerFlowError as exc:
+        raise PlantDivergedError(f"power flow failed: {exc}") from exc
+    if not sol.converged:
+        raise PlantDivergedError(
+            f"power flow did not converge (max mismatch {sol.max_mismatch_pu:.3e} p.u.)"
+        )
+    return sol, droop.response(sol.v_mag[droop.buses])[0], True
 
 
 class Plant:
@@ -285,7 +206,7 @@ class Plant:
             loads=self.devices.static_loads_pu(self.net.s_base_va),
             ev_power=np.zeros(len(self.devices.ev_points)),
             slack_v=cfg.slack_v0,
-            droop_q=np.zeros(len(self.devices.legacy)),
+            voltages=None,
             buffer=(),
         )
         if cfg.measurement_delay > 0:
@@ -333,15 +254,14 @@ class Plant:
 
     def _resolve(self, state: PlantState, applied: np.ndarray, t: float) -> tuple[PlantState, Measurement]:
         cfg = self.config
-        sol, droop_q, ok = steady_state_response(
+        sol, _, _ = steady_state_response(
             self.net,
             self.devices,
             applied,
             loads_pu=state.loads,
             ev_pu=state.ev_power,
             slack_v=state.slack_v,
-            droop_enabled=cfg.droop_enabled,
-            droop_q0=state.droop_q,
+            x0=state.voltages,
         )
         v = sol.v_mag[1:].copy()
         p_pcc = sol.pcc_power_pu
@@ -349,10 +269,8 @@ class Plant:
             rng = np.random.default_rng((cfg.seed, state.step_index))
             v = v + rng.normal(0.0, cfg.noise_sigma, v.shape[0])
             p_pcc = p_pcc + float(rng.normal(0.0, cfg.noise_sigma))
-        meas = Measurement.make(
-            v, self._monitored, p_pcc, t, flags=() if ok else ("droop_limit",)
-        )
-        return replace(state, applied=applied, droop_q=droop_q, t=t), meas
+        meas = Measurement.make(v, self._monitored, p_pcc, t)
+        return replace(state, applied=applied, voltages=(sol.v_mag, sol.v_ang), t=t), meas
 
     def step(
         self, state: PlantState, commanded: np.ndarray, events=()
@@ -360,8 +278,8 @@ class Plant:
         """Advance one sampling interval.
 
         Applies events due at the new sample time, moves the actuation
-        pipeline, resolves the droop/power-flow fixed point and emits the
-        measurement (subject to the configured measurement delay).
+        pipeline, resolves the grid and its droop in one power flow and emits
+        the measurement (subject to the configured measurement delay).
         """
         cfg = self.config
         t = state.t + cfg.t_sample_s

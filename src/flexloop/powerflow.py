@@ -14,6 +14,16 @@ An evaluation costs one pass over the nonzeros; the Newton step itself is a
 dense solve. This formulation avoids divisions by V and stays well defined
 (and exactly singular) at collapsed states, which the solver reports
 explicitly.
+
+Legacy inverters' piecewise-linear Q(V) droop (:class:`~flexloop.grid.DroopLaw`)
+can be solved in the same system: the specified Q at an inverter's bus
+becomes its base value plus Q(V_i), so its mismatch row subtracts Q(V_i) and
+its dQ/dV Jacobian diagonal subtracts the law's slope, a semismooth Newton
+method for piecewise-linear equations (Qi & Sun, Math. Programming 58,
+1993). Each Newton step is globalised by Armijo backtracking on the squared
+mismatch norm: the full step first, halved up to ``MAX_HALVINGS`` times;
+the mismatch at the accepted point is the next iterate's, so a full step
+costs no extra evaluation.
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NetworkModel
+from .grid import DroopLaw, NetworkModel
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 30
+MAX_HALVINGS = 10  # backtracking halvings of one Newton step
 
 
 class PowerFlowError(RuntimeError):
@@ -71,12 +82,16 @@ def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     return v_mag * np.bincount(i, vk * t1, n), v_mag * np.bincount(i, vk * t2, n)
 
 
-def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+def power_jacobian(
+    net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray, droop: DroopLaw | None = None
+) -> np.ndarray:
     """Analytic Jacobian of every bus injection with respect to the PQ unknowns.
 
     Ordering: rows are [dP_pq; dQ_pq; dP_slack; dQ_slack], columns
     [d theta_pq; d V_pq]. The first ``2 (n - 1)`` rows are the Newton
     Jacobian; row ``-2`` is the slack's active power, the PCC exchange.
+    With ``droop``, each legacy inverter's dQ/dV is subtracted on its bus's
+    dQ/dV diagonal: the Jacobian of the mismatch with ``q = Q(V)``.
     """
     i, k = net.ybus_nonzeros[:2]
     n = net.n_buses
@@ -96,15 +111,19 @@ def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> n
     cols = np.stack([k[pq] - 1, k[pq] + n - 2])[None]
     jac = np.zeros((m + 2, m))
     jac[rows, cols] = terms[..., pq]
+    if droop is not None:
+        np.subtract.at(jac, (droop.rows, droop.rows), droop.response(v_mag[droop.buses])[1])
     return jac
 
 
-def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+def newton_jacobian(
+    net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray, droop: DroopLaw | None = None
+) -> np.ndarray:
     """Mismatch Jacobian: :func:`power_jacobian` without the slack rows.
 
     Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
     """
-    return power_jacobian(net, v_mag, v_ang)[:-2]
+    return power_jacobian(net, v_mag, v_ang, droop)[:-2]
 
 
 def solve_power_flow(
@@ -113,6 +132,7 @@ def solve_power_flow(
     slack_v: float = 1.0,
     *,
     x0: tuple[np.ndarray, np.ndarray] | None = None,
+    droop: DroopLaw | None = None,
 ) -> PowerFlowSolution:
     """Solve the network at the given per-PQ-bus (P, Q) injections.
 
@@ -125,8 +145,12 @@ def solve_power_flow(
         Slack voltage magnitude in per-unit, restricted to [0.8, 1.2].
     x0:
         Optional warm start ``(v_mag, v_ang)`` over the full bus set.
+    droop:
+        Legacy inverters whose reactive output ``Q(V)`` is solved together
+        with the grid, on top of ``injections_pu``.
 
-    Returns a :class:`PowerFlowSolution`. Non-convergence is reported via the
+    Returns a :class:`PowerFlowSolution`. Non-convergence (the iteration
+    cap, or a step that no halving makes descend) is reported via the
     ``converged`` flag, never silently; an exactly singular Jacobian raises
     :class:`SingularJacobianError`.
     """
@@ -148,16 +172,22 @@ def solve_power_flow(
     v_mag[0] = slack_v
     v_ang[0] = 0.0
 
-    p_spec = inj[:, 0]
-    q_spec = inj[:, 1]
+    spec = np.concatenate([inj[:, 0], inj[:, 1]])
     pq = slice(1, net.n_buses)
+    if droop is not None and not droop.rows.size:
+        droop = None
 
     def _mismatch():
         p, q = bus_powers(net, v_mag, v_ang)
-        return np.concatenate([p[pq] - p_spec, q[pq] - q_spec])
+        f = np.concatenate([p[pq], q[pq]]) - spec
+        if droop is not None:
+            np.subtract.at(f, droop.rows, droop.response(v_mag[droop.buses])[0])
+        return f
 
     def _newton_step(f, it):
-        jac = newton_jacobian(net, v_mag, v_ang)
+        """Newton direction, then Armijo backtracking on ||f||^2 from the
+        full step: the mismatch at the new point, and whether it descended."""
+        jac = newton_jacobian(net, v_mag, v_ang, droop)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
@@ -166,34 +196,39 @@ def solve_power_flow(
                 f"(max mismatch {np.max(np.abs(f)):.3e} p.u.)"
             ) from exc
         if not np.all(np.isfinite(step)):
-            return False
-        v_ang[pq] += step[:n_pq]
-        v_mag[pq] += step[n_pq:]
-        return True
+            return f, False
+        ang, mag = v_ang[pq].copy(), v_mag[pq].copy()
+        norm2 = f @ f
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            v_ang[pq] = ang + t * step[:n_pq]
+            v_mag[pq] = mag + t * step[n_pq:]
+            f_new = _mismatch()
+            # sufficient decrease (Armijo, c = 1e-4): the Newton step's
+            # directional derivative of ||f||^2 is -2 ||f||^2
+            if f_new @ f_new <= (1.0 - 2e-4 * t) * norm2:
+                return f_new, True
+            t *= 0.5
+        return f_new, False
 
     converged = False
-    iterations = 0
-    mismatch = np.inf
+    descended = True
+    f = _mismatch()
     for it in range(MAX_ITERATIONS + 1):
-        f = _mismatch()
+        iterations = it
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         if mismatch < MISMATCH_TOL:
             converged = True
-            iterations = it
             break
-        if it == MAX_ITERATIONS:
-            iterations = it
+        if it == MAX_ITERATIONS or not descended:
             break
-        if not _newton_step(f, it):
-            iterations = it
-            break
+        f, descended = _newton_step(f, it)
 
     if converged and 1e-14 < mismatch:
         # one polishing step: quadratic convergence pulls the aggregate
         # balance residual far below the per-bus stopping tolerance
-        if _newton_step(_mismatch(), iterations):
-            f = _mismatch()
-            mismatch = float(np.max(np.abs(f))) if f.size else 0.0
+        f, _ = _newton_step(f, iterations)
+        mismatch = float(np.max(np.abs(f)))
 
     return _package(net, v_mag, v_ang, converged, iterations, mismatch)
 

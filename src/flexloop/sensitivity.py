@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections, pq_positions
+from .grid import DeviceSet, DroopLaw, NetworkModel, add_setpoint_injections, base_injections, pq_positions
 from .powerflow import PowerFlowSolution, power_jacobian, solve_power_flow
 
 
@@ -49,7 +49,7 @@ def linearize(
     devices: DeviceSet,
     sol: PowerFlowSolution,
     monitored: tuple[int, ...],
-    droop_slopes: np.ndarray | None = None,
+    droop: DroopLaw | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(dv, dpcc)`` at a converged power flow, by the implicit-function theorem.
 
@@ -57,15 +57,12 @@ def linearize(
     places each setpoint at its :func:`~flexloop.grid.pq_positions` entry,
     the map :func:`add_setpoint_injections` uses. ``dv`` is the
     monitored-magnitude part of ``dx``, ``dpcc`` the slack's active-power
-    row applied to it. ``droop_slopes`` (dQ/dV per legacy inverter) lets
-    each inverter's reactive output follow its terminal voltage; without it
+    row applied to it. With ``droop``, each legacy inverter's reactive
+    output follows its terminal voltage, as in the power flow; without it
     the droop output is held fixed.
     """
-    full = power_jacobian(net, sol.v_mag, sol.v_ang)
+    full = power_jacobian(net, sol.v_mag, sol.v_ang, droop)
     jac = full[:-2]
-    if droop_slopes is not None:
-        dq_dv = pq_positions(net, [inv.bus for inv in devices.legacy])[1::2]
-        np.subtract.at(jac, (dq_dv, dq_dv), droop_slopes)
     p = devices.n_setpoints
     c = np.zeros((len(jac), p))
     c[pq_positions(net, devices.fpu_buses), np.arange(p)] = 1.0

@@ -4,8 +4,10 @@ These deliberately avoid the implementation paths they check: the two-bus
 voltage comes from the closed-form quadratic, the power-flow sweep is a
 fixed-point (impedance-matrix) iteration rather than Newton, bus powers come
 from the dense complex admittance product rather than the per-nonzero
-kernels, losses are summed branch by branch, and the QP oracle enumerates
-active sets by brute force.
+kernels, losses are summed branch by branch, the legacy droop's steady
+state is a Picard iteration over plain power flows rather than one Newton
+solve with the droop in its mismatch, and the QP oracle enumerates active
+sets by brute force.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 
-from flexloop.grid import NetworkModel
+from flexloop.grid import DeviceSet, DroopInverter, NetworkModel, add_setpoint_injections, base_injections
+from flexloop.powerflow import solve_power_flow
 from flexloop.qp import QpProblem
 
 
@@ -173,3 +176,43 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
                 if best is None or val < best[1] - 1e-12:
                     best = (w, val)
     return best
+
+
+def qv_droop(inv: DroopInverter, v: float, s_base_va: float) -> float:
+    """One legacy inverter's Q(V) in p.u. at terminal voltage ``v``, read off
+    its knees as a fraction of full output."""
+    q_max = inv.q_max_var / s_base_va
+    if v > inv.v_db_hi:
+        return -q_max * min(1.0, (v - inv.v_db_hi) / (inv.v_hi - inv.v_db_hi))
+    if v < inv.v_db_lo:
+        return q_max * min(1.0, (inv.v_db_lo - v) / (inv.v_db_lo - inv.v_lo))
+    return 0.0
+
+
+def picard_droop_response(
+    net: NetworkModel,
+    devices: DeviceSet,
+    u_pu: np.ndarray,
+    slack_v: float = 1.0,
+    tol: float = 1e-13,
+    max_iter: int = 200,
+):
+    """The plant's steady state by the fixed-point iteration q <- Q(V(q)):
+    one plain power flow per iterate, each legacy inverter's output held as
+    a fixed Q injection.
+
+    Returns (solution, q), or None if the iteration does not settle.
+    """
+    base = add_setpoint_injections(base_injections(net, devices), net, devices, u_pu)
+    rows = [net.pq_row(inv.bus) for inv in devices.legacy]
+    q = np.zeros(len(rows))
+    for _ in range(max_iter):
+        inj = base.copy()
+        np.add.at(inj[:, 1], rows, q)
+        sol = solve_power_flow(net, inj, slack_v)
+        v = [sol.v_mag[net.index(inv.bus)] for inv in devices.legacy]
+        q_new = np.array([qv_droop(inv, vi, net.s_base_va) for inv, vi in zip(devices.legacy, v)])
+        if np.max(np.abs(q_new - q), initial=0.0) < tol:
+            return sol, q_new
+        q = q_new
+    return None

@@ -1,3 +1,5 @@
+import pytest
+
 from flexloop.cli import main
 
 
@@ -130,6 +132,32 @@ def test_singular_plant_power_flow_is_runtime_error(tmp_path, capsys, monkeypatc
     assert "singular Jacobian" in err
     assert (tmp_path / "telemetry.csv").read_text().count("\n") == 1
     assert not (tmp_path / "kpi.txt").exists()
+
+
+@pytest.mark.parametrize("failing_call", [1, 11])
+def test_sweep_alpha_abort_is_runtime_error(tmp_path, capsys, monkeypatch, failing_call):
+    import flexloop.plant as plant_module
+    from flexloop.powerflow import SingularJacobianError
+
+    solve = plant_module.solve_power_flow
+    calls = []
+
+    def singular_from(*args, **kwargs):
+        calls.append(None)
+        if len(calls) >= failing_call:
+            raise SingularJacobianError("singular Jacobian at iteration 0")
+        return solve(*args, **kwargs)
+
+    # aborted at the first sample, and later: no alpha is scored from a truncated log
+    monkeypatch.setattr(plant_module, "solve_power_flow", singular_from)
+    code, out, err = run_cli(
+        capsys, "--mode", "sweep-alpha", "--scenario", "exp_a_14p5kw", "--alpha", "0.3", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("error: scenario aborted: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "alpha_sweep.txt").exists()
 
 
 def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):

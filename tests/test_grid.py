@@ -141,11 +141,11 @@ def test_base_injections_signs(lab_net, lab_devices):
 def test_injection_overrides_sum_on_shared_buses(lab_net, lab_devices):
     inj = base_injections(
         lab_net, lab_devices,
-        loads_pu=np.array([[0.03, 0.01], [0.0, 0.0]]), ev_pu=np.array([-0.05]), droop_q=np.array([0.04]),
+        loads_pu=np.array([[0.03, 0.01], [0.0, 0.0]]), ev_pu=np.array([-0.05]),
     )
     row3, row4, row5 = (lab_net.pq_row(b) for b in (3, 4, 5))
     assert inj[row3] == pytest.approx([-0.08, -0.01])  # load and EV charger share bus 3
-    assert inj[row4] == pytest.approx([0.02, 0.04])  # legacy feed-in and its droop output
+    assert inj[row4] == pytest.approx([0.02, 0.0])  # legacy feed-in; its Q follows the droop
     out = add_setpoint_injections(inj, lab_net, lab_devices, np.array([0.01, 0.02, 0.03, 0.04]))
     assert out[lab_net.pq_row(2)] == pytest.approx([0.01, 0.02])
     assert out[row5] == pytest.approx([0.03, 0.04])

@@ -127,9 +127,7 @@ def test_converged_loop_satisfies_plant_kkt(lab_net, lab_devices, exp_a):
 
     u = log.records[-1].u
     lb, ub = lab_devices.setpoint_bounds_pu(lab_net.s_base_va)
-    sol, _, _ = steady_state_response(
-        lab_net, lab_devices, u, slack_v=1.048, tol=1e-13, max_iter=200
-    )
+    sol, _, _ = steady_state_response(lab_net, lab_devices, u, slack_v=1.048)
     v, pcc = sol.v_mag[1:], sol.pcc_power_pu
 
     # primal side exact against the real grid

@@ -1,31 +1,36 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flexloop.grid import (
     Branch,
     Bus,
+    DeviceLimitError,
     DroopInverter,
     Load,
     NetworkSpec,
+    add_setpoint_injections,
     base_injections,
     build_devices,
     build_network,
+    droop_law,
 )
 from flexloop.plant import (
-    DroopCurve,
     Plant,
     PlantConfig,
     PlantDivergedError,
     Scenario,
     ScenarioError,
     ScenarioEvent,
-    qv_droop,
-    qv_droop_slope,
     schedule,
     steady_state_response,
     validate_scenario,
 )
 from flexloop.powerflow import solve_power_flow
+
+from oracles import picard_droop_response, qv_droop
 
 
 # --- droop curve -------------------------------------------------------------
@@ -33,45 +38,70 @@ from flexloop.powerflow import solve_power_flow
 KNEES = dict(v_db_lo=0.99, v_db_hi=1.01, v_lo=0.95, v_hi=1.05)
 
 
+def _inverter_spec(**inverter):
+    """Two-bus feeder with one legacy inverter at bus 2 (no P feed-in)."""
+    return NetworkSpec(
+        buses=(Bus(1, 400.0, "slack"), Bus(2, 400.0, "pq")),
+        branches=(Branch(1, 2, 0.03, 0.012),),
+        devices=(DroopInverter(bus=2, p_fixed_w=0.0, **inverter),),
+    )
+
+
+def _law(q_max, **knees):
+    """The vectorised droop law of one inverter with ``q_max`` p.u. at the
+    100 kVA base."""
+    spec = _inverter_spec(q_max_var=q_max * 1e5, **knees)
+    net = build_network(spec)
+    return droop_law(net, build_devices(spec, net))
+
+
+def _droop_free(devices):
+    """``devices`` with every legacy inverter's Q range zeroed; P feed-in stays."""
+    return replace(devices, legacy=tuple(replace(inv, q_max_var=0.0) for inv in devices.legacy))
+
+
 def test_droop_zero_in_deadband():
-    c = DroopCurve(q_max=0.06, **KNEES)
-    for v in (0.99, 1.0, 1.005, 1.01):
-        assert qv_droop(c, v) == 0.0
+    q, slope = _law(0.06, **KNEES).response(np.array([0.99, 1.0, 1.005, 1.01]))
+    assert np.all(q == 0.0)
+    assert np.all(slope == 0.0)
 
 
 def test_droop_full_absorption_at_upper_knee():
-    c = DroopCurve(q_max=0.06, **KNEES)
-    assert qv_droop(c, 1.05) == pytest.approx(-0.06)
-    assert qv_droop(c, 1.08) == pytest.approx(-0.06)  # clamped
+    q, _ = _law(0.06, **KNEES).response(np.array([1.05, 1.08]))
+    assert q == pytest.approx([-0.06, -0.06])  # clamped beyond the knee
 
 
 def test_droop_half_output_midway():
-    c = DroopCurve(q_max=0.06, **KNEES)
-    assert qv_droop(c, 1.03) == pytest.approx(-0.03)
-    assert qv_droop(c, 0.97) == pytest.approx(0.03)
+    q, _ = _law(0.06, **KNEES).response(np.array([1.03, 0.97]))
+    assert q == pytest.approx([-0.03, 0.03])
 
 
 def test_droop_monotone_nonincreasing_and_continuous():
-    c = DroopCurve(q_max=0.08, v_db_lo=0.985, v_db_hi=1.015, v_lo=0.94, v_hi=1.06)
+    knees = dict(v_db_lo=0.985, v_db_hi=1.015, v_lo=0.94, v_hi=1.06)
     grid_v = np.linspace(0.9, 1.1, 2001)
-    q = np.array([qv_droop(c, v) for v in grid_v])
+    q, _ = _law(0.08, **knees).response(grid_v)
     assert np.all(np.diff(q) <= 1e-12)
-    assert np.max(np.abs(np.diff(q))) < 0.08 * (grid_v[1] - grid_v[0]) / (c.v_hi - c.v_db_hi) * 1.01
+    assert np.max(np.abs(np.diff(q))) < 0.08 * (grid_v[1] - grid_v[0]) / (knees["v_hi"] - knees["v_db_hi"]) * 1.01
+    inv = DroopInverter(bus=2, p_fixed_w=0.0, q_max_var=8e3, **knees)
+    np.testing.assert_allclose(q, [qv_droop(inv, v, 1e5) for v in grid_v], rtol=0, atol=1e-15)
 
 
 def test_droop_slope_matches_curve():
-    c = DroopCurve(q_max=0.06, **KNEES)
-    for v in (0.9, 0.97, 1.0, 1.03, 1.08):  # clamped, ramps, deadband
-        fd = (qv_droop(c, v + 1e-6) - qv_droop(c, v - 1e-6)) / 2e-6
-        assert qv_droop_slope(c, v) == pytest.approx(fd, abs=1e-6)
-    assert qv_droop_slope(c, 1.03) == pytest.approx(-1.5)
+    law = _law(0.06, **KNEES)
+    v = np.array([0.9, 0.97, 1.0, 1.03, 1.08])  # clamped, ramps, deadband
+    fd = (law.response(v + 1e-6)[0] - law.response(v - 1e-6)[0]) / 2e-6
+    _, slope = law.response(v)
+    np.testing.assert_allclose(slope, fd, rtol=0, atol=1e-6)
+    assert slope[3] == pytest.approx(-1.5)
 
 
 def test_droop_curve_validation():
-    with pytest.raises(ValueError):
-        DroopCurve(q_max=0.05, v_db_lo=0.9, v_db_hi=1.01, v_lo=0.95, v_hi=1.05)
-    with pytest.raises(ValueError):
-        qv_droop(DroopCurve(q_max=0.05, **KNEES), -1.0)
+    # the law is built from validated devices only
+    inverted_ramp = dict(v_db_lo=0.99, v_db_hi=1.06, v_lo=0.95, v_hi=1.05)
+    for bad in (dict(q_max_var=-1e3, **KNEES), dict(q_max_var=1e3, **inverted_ramp)):
+        spec = _inverter_spec(**bad)
+        with pytest.raises(DeviceLimitError):
+            build_devices(spec, build_network(spec))
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -159,9 +189,7 @@ def test_droop_absorbs_against_droop_free_oracle(lab_net, lab_devices):
     # push the droop bus above its deadband with heavy feed-in
     u = np.array([0.12, 0.0, 0.12, 0.0])
     with_droop, q, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.03)
-    without, _, _ = steady_state_response(
-        lab_net, lab_devices, u, slack_v=1.03, droop_enabled=False
-    )
+    without, _, _ = steady_state_response(lab_net, _droop_free(lab_devices), u, slack_v=1.03)
     assert ok
     assert q[0] < -1e-4  # absorbing
     row4 = lab_net.pq_row(4) + 1
@@ -170,9 +198,7 @@ def test_droop_absorbs_against_droop_free_oracle(lab_net, lab_devices):
 
 def test_droop_disabled_equals_power_flow(lab_net, lab_devices):
     u = np.array([0.05, 0.01, -0.02, 0.0])
-    sol, q, ok = steady_state_response(lab_net, lab_devices, u, droop_enabled=False)
-    from flexloop.grid import add_setpoint_injections
-
+    sol, q, ok = steady_state_response(lab_net, _droop_free(lab_devices), u)
     inj = add_setpoint_injections(base_injections(lab_net, lab_devices), lab_net, lab_devices, u)
     ref = solve_power_flow(lab_net, inj, 1.0)
     assert np.array_equal(sol.v_mag, ref.v_mag)
@@ -182,10 +208,12 @@ def test_droop_disabled_equals_power_flow(lab_net, lab_devices):
 
 def test_droop_fixed_point_unique_from_multiple_starts(lab_net, lab_devices):
     u = np.array([0.1, 0.0, 0.05, 0.0])
-    q_max = lab_devices.legacy[0].q_max_var / lab_net.s_base_va
+    n = lab_net.n_buses
     results = []
-    for q0 in (np.array([0.0]), np.array([q_max]), np.array([-q_max])):
-        _, q, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04, droop_q0=q0)
+    # flat, below the lower knee, beyond the upper knee, and angled
+    for x0 in (None, (np.full(n, 0.93), np.zeros(n)), (np.full(n, 1.07), np.zeros(n)),
+               (np.ones(n), np.linspace(0.0, -0.1, n))):
+        _, q, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04, x0=x0)
         assert ok
         results.append(q[0])
     assert max(results) - min(results) < 1e-7
@@ -197,24 +225,70 @@ def test_droop_warm_start_reaches_the_cold_fixed_point(lab_net, lab_devices, mon
     solve = plant_module.solve_power_flow
     starts = []
 
-    def recording(*args, x0=None):
+    def recording(*args, x0=None, droop=None):
         starts.append(x0)
-        return solve(*args, x0=x0)
+        return solve(*args, x0=x0, droop=droop)
 
-    u = np.array([0.1, 0.0, 0.05, 0.0])
     monkeypatch.setattr(plant_module, "solve_power_flow", recording)
-    warm, q_warm, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04)
+    prev, _, _ = steady_state_response(lab_net, lab_devices, np.array([0.02, 0.0, 0.0, 0.0]), slack_v=1.01)
+    u = np.array([0.1, 0.0, 0.05, 0.0])
+    x0 = (prev.v_mag, prev.v_ang)
+    warm, q_warm, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04, x0=x0)
     assert ok
-    assert len(starts) >= 3  # the droop loop iterated
-    assert starts[0] is None
-    assert all(x0 is not None for x0 in starts[1:])
-
-    monkeypatch.setattr(plant_module, "solve_power_flow", lambda *args, x0=None: solve(*args))
+    assert starts[1][0] is prev.v_mag
     cold, q_cold, ok = steady_state_response(lab_net, lab_devices, u, slack_v=1.04)
     assert ok
+    assert starts[2] is None
     np.testing.assert_allclose(q_warm, q_cold, rtol=0, atol=1e-9)
     np.testing.assert_allclose(warm.v_mag, cold.v_mag, rtol=0, atol=1e-9)
     assert warm.pcc_power_pu == pytest.approx(cold.pcc_power_pu, abs=1e-9)
+
+    # each plant sample starts from the previous sample's voltages
+    plant = Plant(lab_net, lab_devices, PlantConfig())
+    state = plant.initial_state(np.zeros(4))
+    starts.clear()
+    state, _ = plant.step(state, u)
+    first = state.voltages
+    state, _ = plant.step(state, u)
+    assert starts[0] is None
+    assert starts[1] is first
+
+
+def test_inverters_sharing_a_bus_add_up(lab_net, lab_devices):
+    # the lab feeder's inverter split into two halves on its bus
+    inv = lab_devices.legacy[0]
+    half = replace(inv, p_fixed_w=inv.p_fixed_w / 2, q_max_var=inv.q_max_var / 2)
+    split = replace(lab_devices, legacy=(half, half))
+    u = np.array([0.12, 0.0, 0.12, 0.0])  # on the upper ramp
+    whole, q, _ = steady_state_response(lab_net, lab_devices, u, slack_v=1.03)
+    halves, q_halves, _ = steady_state_response(lab_net, split, u, slack_v=1.03)
+    np.testing.assert_allclose(halves.v_mag, whole.v_mag, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q_halves, [q[0] / 2] * 2, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slack_v=st.floats(0.95, 1.05), frac=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+# the inverter below its lower knee, on the lower ramp, in the deadband, on
+# the upper ramp and beyond its upper knee
+@example(slack_v=0.95, frac=[0.0, 0.0, 0.0, 0.0])
+@example(slack_v=0.97, frac=[0.0, 0.0, 0.0, 0.0])
+@example(slack_v=1.0, frac=[0.0, 0.5, 0.0, 0.5])
+@example(slack_v=1.03, frac=[0.0, 0.0, 0.0, 0.0])
+@example(slack_v=1.05, frac=[1.0, 1.0, 1.0, 1.0])
+def test_droop_in_newton_matches_picard_fixed_point(lab_net, lab_devices, slack_v, frac):
+    lb, ub = lab_devices.setpoint_bounds_pu(lab_net.s_base_va)
+    u = lb + np.array(frac) * (ub - lb)
+    sol, q, ok = steady_state_response(lab_net, lab_devices, u, slack_v=slack_v)
+    assert ok
+    # q = Q(V): the plain power flow with q held as a fixed injection
+    inj = add_setpoint_injections(base_injections(lab_net, lab_devices), lab_net, lab_devices, u)
+    np.add.at(inj[:, 1], [lab_net.pq_row(inv.bus) for inv in lab_devices.legacy], q)
+    held = solve_power_flow(lab_net, inj, slack_v)
+    np.testing.assert_allclose(held.v_mag, sol.v_mag, rtol=0, atol=1e-9)
+    ref = picard_droop_response(lab_net, lab_devices, u, slack_v)
+    assert ref is not None
+    np.testing.assert_allclose(q, ref[1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol.v_mag, ref[0].v_mag, rtol=0, atol=1e-9)
 
 
 def test_plant_memoryless(lab_net, lab_devices):
@@ -262,7 +336,7 @@ def test_load_change_event(lab_net, lab_devices):
 
 
 def test_slack_voltage_event(lab_net, lab_devices):
-    plant = Plant(lab_net, lab_devices, PlantConfig(droop_enabled=False))
+    plant = Plant(lab_net, _droop_free(lab_devices), PlantConfig())
     u = np.zeros(4)
     state = plant.initial_state(u)
     state, y = plant.step(state, u, (ScenarioEvent.make(5.0, "slack_voltage_change", v_pu=1.048),))
@@ -283,7 +357,7 @@ def test_actuation_delay_pipeline(lab_net, lab_devices):
 
 
 def test_measurement_delay_buffer(lab_net, lab_devices):
-    plant = Plant(lab_net, lab_devices, PlantConfig(measurement_delay=1, droop_enabled=False))
+    plant = Plant(lab_net, _droop_free(lab_devices), PlantConfig(measurement_delay=1))
     state = plant.initial_state(np.zeros(4))
     u = np.array([0.1, 0.0, 0.0, 0.0])
     state, y0 = plant.step(state, u)  # emits the pre-scenario resolve
@@ -316,8 +390,9 @@ def test_noise_seeded_and_reproducible(lab_net, lab_devices):
     assert np.max(np.abs(ya.v - flat.v_mag[1:])) > 1e-5  # noise actually applied
 
 
-def test_droop_nonconvergence_freezes_and_flags():
-    # pathological curve: enormous gain over a hair-thin ramp oscillates
+def test_droop_hair_thin_ramp_converges():
+    # enormous gain over a hair-thin ramp: a fixed-point iteration q <- Q(V(q))
+    # oscillates here, one Newton solve with the droop in its mismatch does not
     spec = NetworkSpec(
         buses=(Bus(1, 400.0, "slack"), Bus(2, 400.0, "pq")),
         branches=(Branch(1, 2, 0.8, 0.8),),
@@ -329,13 +404,19 @@ def test_droop_nonconvergence_freezes_and_flags():
     )
     net = build_network(spec)
     devices = build_devices(spec, net)
+    assert picard_droop_response(net, devices, np.zeros(0), 1.02, tol=1e-8, max_iter=50) is None
     sol, q, ok = steady_state_response(net, devices, np.zeros(0), slack_v=1.02)
-    assert not ok
+    assert ok and sol.converged
+    assert 0.0 < abs(q[0]) < 0.03  # on the ramp
+    assert q[0] == pytest.approx(qv_droop(devices.legacy[0], sol.v_mag[1], net.s_base_va), abs=1e-12)
+    inj = base_injections(net, devices)
+    inj[0, 1] += q[0]
+    np.testing.assert_allclose(solve_power_flow(net, inj, 1.02).v_mag, sol.v_mag, rtol=0, atol=1e-9)
     plant = Plant(net, devices, PlantConfig(slack_v0=1.02))
     state = plant.initial_state(np.zeros(0))
     state, y = plant.step(state, np.zeros(0))
-    assert "droop_limit" in y.flags
-    assert y.all_valid  # grid is still measurable
+    assert y.all_valid
+    np.testing.assert_allclose(y.v, sol.v_mag[1:], rtol=0, atol=1e-9)
 
 
 def test_power_flow_divergence_aborts(lab_net, lab_devices):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import flexloop.sensitivity as sensitivity
-from flexloop.grid import Fpu, NetworkSpec, base_injections, build_devices, build_network
-from flexloop.plant import droop_curves, qv_droop_slope, steady_state_response
+from flexloop.grid import Fpu, NetworkSpec, base_injections, build_devices, build_network, droop_law
+from flexloop.plant import steady_state_response
 from flexloop.sensitivity import SensitivityError, compute_sensitivity, linearize
 
 from conftest import make_two_bus
@@ -91,20 +91,19 @@ def test_one_power_flow_per_sensitivity(monkeypatch, lab_net, lab_devices):
 def test_droop_aware_linearization_matches_plant_central_differences(
     lab_net, lab_devices, slack_v, on_ramp
 ):
-    # the oracle's linearization: Q(V) slopes at the droop fixed point,
-    # checked against central differences of the plant's steady state
+    # the oracle's linearization, Q(V) slopes included, checked against
+    # central differences of the plant's steady state
     def respond(u):
-        sol, _, ok = steady_state_response(
-            lab_net, lab_devices, u, slack_v=slack_v, tol=1e-13, max_iter=200
-        )
+        sol, _, ok = steady_state_response(lab_net, lab_devices, u, slack_v=slack_v)
         assert ok
         return sol
 
     u0 = np.array([0.05, 0.01, 0.03, -0.01])
     sol = respond(u0)
-    slopes = [qv_droop_slope(c, sol.v_mag[i]) for c, i in droop_curves(lab_net, lab_devices)]
+    law = droop_law(lab_net, lab_devices)
+    slopes = law.response(sol.v_mag[law.buses])[1]
     assert (slopes[0] != 0.0) == on_ramp
-    dv, dpcc = linearize(lab_net, lab_devices, sol, lab_net.pq_ids, slopes)
+    dv, dpcc = linearize(lab_net, lab_devices, sol, lab_net.pq_ids, law)
     h = 1e-4
     for j in range(4):
         up, um = u0.copy(), u0.copy()
