@@ -56,7 +56,7 @@ from .plant import (
     steady_state_response,
 )
 from .powerflow import PowerFlowSolution, SingularJacobianError, solve_power_flow
-from .qp import QpMultipliers, QpProblem, QpSolution, kkt_residuals, solve_qp
+from .qp import QpProblem, QpSolution, kkt_residuals, solve_qp
 from .sensitivity import SensitivityError, SensitivityMatrix, compute_sensitivity
 
 __version__ = "0.1.0"

@@ -88,12 +88,9 @@ def _alphas(arg: str | None, mode: str) -> tuple[float, ...]:
     if arg is None:
         return SWEEP_ALPHAS if mode == "sweep-alpha" else (0.3,)
     try:
-        values = tuple(float(tok) for tok in arg.split(","))
+        return tuple(float(tok) for tok in arg.split(","))
     except ValueError:
         raise _CliError(f"--alpha: bad value {arg!r}", 1) from None
-    if not values or any(a <= 0 for a in values):
-        raise _CliError("--alpha values must be positive", 1)
-    return values
 
 
 def _run(args) -> int:
@@ -104,37 +101,37 @@ def _run(args) -> int:
     devices = build_devices(spec, net)
     scenario = parse_scenario_file(scn_path)
 
+    # every setting is checked before the first run
+    alphas = _alphas(args.alpha, args.mode)
+    rho = {} if args.rho is None else {"rho": args.rho}
+    try:
+        plant_cfg = PlantConfig(
+            actuation_delay=args.actuation_delay,
+            measurement_delay=args.measurement_delay,
+            noise_sigma=args.noise_sigma,
+            seed=args.seed,
+        )
+        cfgs = [ControllerConfig.for_network(net, devices, alpha=a, band=args.band, **rho) for a in alphas]
+    except ValueError as exc:
+        raise _CliError(str(exc), 1) from None
+
     out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR, "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    alphas = _alphas(args.alpha, args.mode)
-    plant_cfg = PlantConfig(
-        actuation_delay=args.actuation_delay,
-        measurement_delay=args.measurement_delay,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-
-    def make_cfg(alpha: float) -> ControllerConfig:
-        kwargs = dict(alpha=alpha, band=args.band)
-        if args.rho is not None:
-            kwargs["rho"] = args.rho
-        return ControllerConfig.for_network(net, devices, **kwargs)
-
     if args.mode == "sweep-alpha":
         lines = ["alpha,settled,settling_iterations"]
-        for alpha in alphas:
-            log = run_closed_loop(net, devices, scenario, make_cfg(alpha), plant_cfg)
+        for cfg in cfgs:
+            log = run_closed_loop(net, devices, scenario, cfg, plant_cfg)
             if log.abort_reason:
                 raise _CliError(f"scenario aborted: {log.abort_reason}", 2)
             kpi = summarize(log)
             iters = kpi.settling_iterations if kpi.settled else ""
-            lines.append(f"{alpha:g},{int(kpi.settled)},{iters}")
+            lines.append(f"{cfg.alpha:g},{int(kpi.settled)},{iters}")
         (out_dir / "alpha_sweep.txt").write_text("\n".join(lines) + "\n")
         print("\n".join(lines))
         return 0
 
-    log = run_closed_loop(net, devices, scenario, make_cfg(alphas[0]), plant_cfg)
+    log = run_closed_loop(net, devices, scenario, cfgs[0], plant_cfg)
     log.write_csv(out_dir / "telemetry.csv")
     if log.records:  # a run aborted at its first sample has no KPIs
         (out_dir / "kpi.txt").write_text(summarize(log).render())

@@ -31,7 +31,9 @@ SLACK_FLAG_TOL = 1e-6  # p.u.; equality slack above this is flagged
 
 
 class InvalidMeasurementError(ValueError):
-    """Measurement is stale or has invalid channels."""
+    """Measurement has an invalid or non-finite channel, or its buses or
+    voltage vector do not match the monitored set. Timestamps are not
+    checked."""
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,17 @@ class ControllerConfig:
     tracking_gain: float = DEFAULT_TRACKING_GAIN
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("step size alpha must be positive")
-        if self.rho <= 0:
-            raise ValueError("soft-equality weight rho must be positive")
+        # comparisons with NaN are false, so each check also rejects NaN
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"step size alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError(f"soft-equality weight rho must be positive and finite, got {self.rho}")
+        if not (np.all(np.isfinite(self.v_min)) and np.all(np.isfinite(self.v_max))):
+            raise ValueError("voltage band limits must be finite")
         if np.any(self.v_min >= self.v_max):
             raise ValueError("voltage band is empty at some bus")
-        if self.max_step_pu is not None and self.max_step_pu <= 0:
-            raise ValueError("per-step saturation limit must be positive")
+        if self.max_step_pu is not None and not 0.0 < self.max_step_pu < np.inf:
+            raise ValueError(f"per-step limit must be positive and finite, got {self.max_step_pu}")
         if not 0.0 < self.tracking_gain <= 1.0:
             raise ValueError("tracking gain must be in (0, 1]")
 

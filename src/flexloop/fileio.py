@@ -81,30 +81,24 @@ def _parse_int(token: str, path: str, no: int, field: str) -> int:
         raise ParseError(path, no, f"bad integer {token!r} for field {field}") from None
 
 
-def _parse_kv(tokens, path, no, field="payload") -> dict[str, float]:
+def _parse_kv(tokens, path, no, field="payload", keys=None) -> dict[str, float]:
+    """``key=value`` tokens as numbers. With ``keys = (required, optional)``
+    an unknown key, then a missing one, is reported before a bad number."""
     raw: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
             raise ParseError(path, no, f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
         raw[key] = val
+    if keys is not None:
+        required, optional = keys
+        unknown = set(raw) - set(required) - set(optional)
+        if unknown:
+            raise ParseError(path, no, f"unknown key {sorted(unknown)[0]!r} for {field}")
+        missing = set(required) - set(raw)
+        if missing:
+            raise ParseError(path, no, f"missing key {sorted(missing)[0]!r} for {field}")
     return {k: _parse_float(v, path, no, f"{field}.{k}") for k, v in raw.items()}
-
-
-def _take_keys(kv_tokens, required, optional, path, no, what) -> dict[str, float]:
-    raw: dict[str, str] = {}
-    for tok in kv_tokens:
-        if "=" not in tok:
-            raise ParseError(path, no, f"expected key=value, got {tok!r}")
-        key, _, val = tok.partition("=")
-        raw[key] = val
-    unknown = set(raw) - set(required) - set(optional)
-    if unknown:
-        raise ParseError(path, no, f"unknown key {sorted(unknown)[0]!r} for {what}")
-    missing = set(required) - set(raw)
-    if missing:
-        raise ParseError(path, no, f"missing key {sorted(missing)[0]!r} for {what}")
-    return {k: _parse_float(v, path, no, f"{what}.{k}") for k, v in raw.items()}
 
 
 # --- network ---------------------------------------------------------------
@@ -181,8 +175,7 @@ def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
             if kind not in _DEVICE_KEYS:
                 raise ParseError(path, no, f"unknown device kind {kind!r}")
             bus = _parse_int(tokens[1], path, no, "bus")
-            required, optional = _DEVICE_KEYS[kind]
-            kv = _take_keys(tokens[2:], required, optional, path, no, kind)
+            kv = _parse_kv(tokens[2:], path, no, kind, _DEVICE_KEYS[kind])
             if kind == "fpu":
                 devices.append(
                     Fpu(
@@ -194,12 +187,13 @@ def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
                     )
                 )
             elif kind == "droop":
+                knees = _DEVICE_KEYS[kind][1]
                 devices.append(
                     DroopInverter(
                         bus=bus,
                         p_fixed_w=kv["p_kw"] * 1e3,
                         q_max_var=kv["q_max_kvar"] * 1e3,
-                        **{k: kv[k] for k in optional if k in kv},  # absent knees: the defaults
+                        **{k: kv[k] for k in knees if k in kv},  # absent knees: the defaults
                     )
                 )
             elif kind == "load":

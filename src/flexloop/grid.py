@@ -200,6 +200,22 @@ class NetworkModel:
         y = self.ybus[row, col]
         return row, col, y.real.copy(), y.imag.copy()
 
+    @cached_property
+    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where :attr:`ybus_nonzeros` land in the ``(2n, 2n - 2)`` power-flow
+        Jacobian (``powerflow.power_jacobian``): ``(diag, pq, flat)``, the
+        masks of the diagonal nonzeros and of those in a PQ column, and the
+        flat index of the four blocks of each PQ-column nonzero."""
+        i, k = self.ybus_nonzeros[:2]
+        n = self.n_buses
+        m = 2 * n - 2
+        pq = k > 0
+        # bus i > 0 owns rows i - 1 (P) and n - 2 + i (Q), the slack the last
+        # two; column k > 0 is angle k - 1 or magnitude n - 2 + k
+        rows = np.where(i > 0, [i - 1, i + n - 2], [[m], [m + 1]])[:, None, pq]
+        cols = np.stack([k[pq] - 1, k[pq] + n - 2])[None]
+        return i == k, pq, rows * m + cols
+
 
 def build_network(spec: NetworkSpec) -> NetworkModel:
     """Validate a parsed description and produce the ordered network model.

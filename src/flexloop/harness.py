@@ -488,30 +488,32 @@ def reference_opf(
     return OpfResult(u=u, phi=phi, p_pcc_pu=pcc, stationarity=stat, binding=binding)
 
 
+def _binding_limits(u, v, dv, lb, ub, v_min, v_max) -> list[tuple[str, np.ndarray]]:
+    """Limits binding at setpoints ``u`` and voltages ``v``, voltage rows
+    first, each with its cone column: the limit's outward normal in ``u``
+    (a voltage row's from the sensitivities ``dv``)."""
+    eye = np.eye(u.shape[0])
+    limits = []
+    for i in range(v.shape[0]):
+        if v[i] >= v_max[i] - 1e-6:
+            limits.append((f"v_max@row{i}", dv[i]))
+        if v[i] <= v_min[i] + 1e-6:
+            limits.append((f"v_min@row{i}", -dv[i]))
+    for j in range(u.shape[0]):
+        if u[j] >= ub[j] - 1e-9:
+            limits.append((f"u_max[{j}]", eye[j]))
+        if u[j] <= lb[j] + 1e-9:
+            limits.append((f"u_min[{j}]", -eye[j]))
+    return limits
+
+
 def _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max):
     """Projected-gradient stationarity: distance of -grad to the active cone."""
-    cols = [dpcc, -dpcc]  # equality, free sign
-    binding: list[str] = []
-    for i in range(dv.shape[0]):
-        if v[i] >= v_max[i] - 1e-6:
-            cols.append(dv[i])
-            binding.append(f"v_max@row{i}")
-        if v[i] <= v_min[i] + 1e-6:
-            cols.append(-dv[i])
-            binding.append(f"v_min@row{i}")
-    for j in range(u.shape[0]):
-        e = np.zeros(u.shape[0])
-        e[j] = 1.0
-        if u[j] >= ub[j] - 1e-9:
-            cols.append(e)
-            binding.append(f"u_max[{j}]")
-        if u[j] <= lb[j] + 1e-9:
-            cols.append(-e)
-            binding.append(f"u_min[{j}]")
-    N = np.column_stack(cols)
+    limits = _binding_limits(u, v, dv, lb, ub, v_min, v_max)
+    N = np.column_stack([dpcc, -dpcc] + [col for _, col in limits])  # equality, free sign
     coef, _ = nnls(N, -2.0 * u)
     resid = 2.0 * u + N @ coef
-    return float(np.max(np.abs(resid))), tuple(binding)
+    return float(np.max(np.abs(resid))), tuple(label for label, _ in limits)
 
 
 def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p):
@@ -531,11 +533,12 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
         if best is not None and abs(gap) >= abs(best[2] - p_set_pu):
             break
         best = (u, v, pcc)
-        if abs(gap) < 1e-9:
-            break
+        # before the exact-hit exit: the binding report reads the voltage rows
         if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
             dv, dpcc = local_jacobian(pf)
             u_lin = u.copy()
+        if abs(gap) < 1e-9:
+            break
         scale = max(float(dpcc @ dpcc), 1e-12)
         qp = QpProblem(
             g=dpcc * gap / scale,
@@ -554,18 +557,7 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
             break
         u = u_new
     u, v, pcc = best
-    binding = []
-    for j in range(p):
-        if u[j] >= ub[j] - 1e-9:
-            binding.append(f"u_max[{j}]")
-        if u[j] <= lb[j] + 1e-9:
-            binding.append(f"u_min[{j}]")
-    for i in range(v.shape[0]):
-        if v[i] >= v_max[i] - 1e-6:
-            binding.append(f"v_max@row{i}")
-        if v[i] <= v_min[i] + 1e-6:
-            binding.append(f"v_min@row{i}")
-    return pcc, tuple(binding)
+    return pcc, tuple(label for label, _ in _binding_limits(u, v, dv, lb, ub, v_min, v_max))
 
 
 # --- seeded feeder generator -------------------------------------------------

@@ -123,12 +123,15 @@ class PlantConfig:
     slack_v0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_sample_s <= 0:
-            raise ValueError("sampling time must be positive")
+        # comparisons with NaN are false, so each check also rejects NaN
+        if not 0.0 < self.t_sample_s < np.inf:
+            raise ValueError(f"sampling time must be positive and finite, got {self.t_sample_s}")
         if self.actuation_delay < 0 or self.measurement_delay < 0:
             raise ValueError("delays are nonnegative sample counts")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise sigma must be nonnegative and finite, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

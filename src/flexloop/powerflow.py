@@ -10,8 +10,10 @@ trigonometric terms
     t2[i,k] = G[i,k] sin(th_i - th_k) - B[i,k] cos(th_i - th_k)
 
 summed per row: P_i = V_i * sum_k V_k t1[i,k], Q_i = V_i * sum_k V_k t2[i,k].
-An evaluation costs one pass over the nonzeros; the Newton step itself is a
-dense solve. This formulation avoids divisions by V and stays well defined
+An evaluation costs one pass over the nonzeros, and each voltage point is
+evaluated once: the Newton loop builds the mismatch, the Jacobian and the
+reported PCC power and losses from the same evaluation. The Newton step
+itself is a dense solve. This formulation avoids divisions by V and stays well defined
 (and exactly singular) at collapsed states, which the solver reports
 explicitly.
 
@@ -22,8 +24,8 @@ its dQ/dV Jacobian diagonal subtracts the law's slope, a semismooth Newton
 method for piecewise-linear equations (Qi & Sun, Math. Programming 58,
 1993). Each Newton step is globalised by Armijo backtracking on the squared
 mismatch norm: the full step first, halved up to ``MAX_HALVINGS`` times;
-the mismatch at the accepted point is the next iterate's, so a full step
-costs no extra evaluation.
+the droop law is evaluated once per point too, for both its output and its
+slope.
 """
 
 from __future__ import annotations
@@ -64,22 +66,42 @@ class PowerFlowSolution:
     max_mismatch_pu: float
 
 
-def _kernels(net: NetworkModel, v_ang: np.ndarray):
-    """``t1``, ``t2`` (module docstring) at every nonzero of ``net.ybus``."""
+def _evaluate(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
+    """``t1``, ``t2`` (module docstring) at every nonzero of ``net.ybus`` and
+    their row sums ``r1``, ``r2``: ``P = V r1``, ``Q = V r2``."""
     i, k, g, b = net.ybus_nonzeros
     dth = v_ang[i] - v_ang[k]
     cs = np.cos(dth)
     sn = np.sin(dth)
-    return g * cs + b * sn, g * sn - b * cs
+    t1, t2 = g * cs + b * sn, g * sn - b * cs
+    vk = v_mag[k]
+    n = net.n_buses
+    return t1, t2, np.bincount(i, vk * t1, n), np.bincount(i, vk * t2, n)
+
+
+def _jacobian(net: NetworkModel, v_mag: np.ndarray, ev, droop: DroopLaw | None, dq_dv) -> np.ndarray:
+    """:func:`power_jacobian` assembled from the evaluation ``ev`` at
+    ``v_mag`` and, with ``droop``, its slopes ``dq_dv`` there."""
+    t1, t2, r1, r2 = ev
+    i, k = net.ybus_nonzeros[:2]
+    diag, pq, flat = net.jacobian_scatter
+    m = 2 * net.n_buses - 2
+    vi, vk = v_mag[i], v_mag[k]
+    # [[dP/dth_k, dP/dV_k], [dQ/dth_k, dQ/dV_k]] per nonzero (i, k); the
+    # diagonal entries, one per row in row order, add the row sums
+    terms = np.array([[vi * vk * t2, vi * t1], [-vi * vk * t1, vi * t2]])
+    terms[..., diag] += np.array([[-v_mag * r2, r1], [v_mag * r1, r2]])
+    jac = np.zeros((m + 2, m))
+    jac.ravel()[flat] = terms[..., pq]
+    if droop is not None:
+        np.subtract.at(jac, (droop.rows, droop.rows), dq_dv)
+    return jac
 
 
 def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     """Active/reactive injections implied by a voltage state, per-unit."""
-    i, k = net.ybus_nonzeros[:2]
-    t1, t2 = _kernels(net, v_ang)
-    vk = v_mag[k]
-    n = net.n_buses
-    return v_mag * np.bincount(i, vk * t1, n), v_mag * np.bincount(i, vk * t2, n)
+    r1, r2 = _evaluate(net, v_mag, v_ang)[2:]
+    return v_mag * r1, v_mag * r2
 
 
 def power_jacobian(
@@ -93,27 +115,8 @@ def power_jacobian(
     With ``droop``, each legacy inverter's dQ/dV is subtracted on its bus's
     dQ/dV diagonal: the Jacobian of the mismatch with ``q = Q(V)``.
     """
-    i, k = net.ybus_nonzeros[:2]
-    n = net.n_buses
-    m = 2 * n - 2
-    t1, t2 = _kernels(net, v_ang)
-    vi, vk = v_mag[i], v_mag[k]
-    r1 = np.bincount(i, vk * t1, n)  # P_i = V_i r1_i
-    r2 = np.bincount(i, vk * t2, n)  # Q_i = V_i r2_i
-    # [[dP/dth_k, dP/dV_k], [dQ/dth_k, dQ/dV_k]] per nonzero (i, k); the
-    # diagonal entries, one per row in row order, add the row sums
-    terms = np.array([[vi * vk * t2, vi * t1], [-vi * vk * t1, vi * t2]])
-    terms[..., i == k] += np.array([[-v_mag * r2, r1], [v_mag * r1, r2]])
-    # bus i > 0 owns rows i - 1 (P) and n - 2 + i (Q), the slack the last
-    # two; column k > 0 is angle k - 1 or magnitude n - 2 + k
-    pq = k > 0
-    rows = np.where(i > 0, [i - 1, i + n - 2], [[m], [m + 1]])[:, None, pq]
-    cols = np.stack([k[pq] - 1, k[pq] + n - 2])[None]
-    jac = np.zeros((m + 2, m))
-    jac[rows, cols] = terms[..., pq]
-    if droop is not None:
-        np.subtract.at(jac, (droop.rows, droop.rows), droop.response(v_mag[droop.buses])[1])
-    return jac
+    dq_dv = None if droop is None else droop.response(v_mag[droop.buses])[1]
+    return _jacobian(net, v_mag, _evaluate(net, v_mag, v_ang), droop, dq_dv)
 
 
 def newton_jacobian(
@@ -177,17 +180,22 @@ def solve_power_flow(
     if droop is not None and not droop.rows.size:
         droop = None
 
-    def _mismatch():
-        p, q = bus_powers(net, v_mag, v_ang)
-        f = np.concatenate([p[pq], q[pq]]) - spec
-        if droop is not None:
-            np.subtract.at(f, droop.rows, droop.response(v_mag[droop.buses])[0])
-        return f
+    def _point():
+        """The evaluation at the current voltages, its mismatch and, with
+        droop, the law's slopes there: everything a Newton step reads."""
+        ev = _evaluate(net, v_mag, v_ang)
+        f = np.concatenate([v_mag[pq] * ev[2][pq], v_mag[pq] * ev[3][pq]]) - spec
+        if droop is None:
+            return f, ev, None
+        q, dq_dv = droop.response(v_mag[droop.buses])
+        np.subtract.at(f, droop.rows, q)
+        return f, ev, dq_dv
 
-    def _newton_step(f, it):
-        """Newton direction, then Armijo backtracking on ||f||^2 from the
-        full step: the mismatch at the new point, and whether it descended."""
-        jac = newton_jacobian(net, v_mag, v_ang, droop)
+    def _newton_step(point, it):
+        """Newton direction from ``point``, then Armijo backtracking on
+        ||f||^2 from the full step: the new point, and whether it descended."""
+        f, ev, dq_dv = point
+        jac = _jacobian(net, v_mag, ev, droop, dq_dv)[:-2]
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
@@ -196,65 +204,49 @@ def solve_power_flow(
                 f"(max mismatch {np.max(np.abs(f)):.3e} p.u.)"
             ) from exc
         if not np.all(np.isfinite(step)):
-            return f, False
+            return point, False
         ang, mag = v_ang[pq].copy(), v_mag[pq].copy()
         norm2 = f @ f
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             v_ang[pq] = ang + t * step[:n_pq]
             v_mag[pq] = mag + t * step[n_pq:]
-            f_new = _mismatch()
+            new = _point()
             # sufficient decrease (Armijo, c = 1e-4): the Newton step's
             # directional derivative of ||f||^2 is -2 ||f||^2
-            if f_new @ f_new <= (1.0 - 2e-4 * t) * norm2:
-                return f_new, True
+            if new[0] @ new[0] <= (1.0 - 2e-4 * t) * norm2:
+                return new, True
             t *= 0.5
-        return f_new, False
+        return new, False
 
     converged = False
     descended = True
-    f = _mismatch()
+    point = _point()
     for it in range(MAX_ITERATIONS + 1):
         iterations = it
-        mismatch = float(np.max(np.abs(f))) if f.size else 0.0
+        mismatch = float(np.max(np.abs(point[0]))) if point[0].size else 0.0
         if mismatch < MISMATCH_TOL:
             converged = True
             break
         if it == MAX_ITERATIONS or not descended:
             break
-        f, descended = _newton_step(f, it)
+        point, descended = _newton_step(point, it)
 
     if converged and 1e-14 < mismatch:
         # one polishing step: quadratic convergence pulls the aggregate
         # balance residual far below the per-bus stopping tolerance
-        f, _ = _newton_step(f, iterations)
-        mismatch = float(np.max(np.abs(f)))
+        point, _ = _newton_step(point, iterations)
+        mismatch = float(np.max(np.abs(point[0])))
 
-    return _package(net, v_mag, v_ang, converged, iterations, mismatch)
-
-
-def _package(
-    net: NetworkModel,
-    v_mag: np.ndarray,
-    v_ang: np.ndarray,
-    converged: bool,
-    iterations: int,
-    mismatch: float,
-) -> PowerFlowSolution:
-    volts = v_mag * np.exp(1j * v_ang)
-    s_base = net.s_base_va
-    # slack injection equals the power imported from the upstream grid
-    i_slack = net.ybus[0, :] @ volts
-    s_slack = volts[0] * np.conj(i_slack)
+    # the slack injection is the power imported from the upstream grid;
     # losses are what all buses inject together, the slack included
-    losses = float(np.sum(volts * np.conj(net.ybus @ volts)).real) * s_base
-
+    p = v_mag * point[1][2]
     return PowerFlowSolution(
         v_mag=v_mag,
         v_ang=v_ang,
-        pcc_power_w=float(s_slack.real) * s_base,
-        pcc_power_pu=float(s_slack.real),
-        losses_w=losses,
+        pcc_power_w=float(p[0]) * net.s_base_va,
+        pcc_power_pu=float(p[0]),
+        losses_w=float(np.sum(p)) * net.s_base_va,
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,

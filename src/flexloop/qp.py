@@ -9,8 +9,11 @@ Solves
 
 with the dual active-set method of Goldfarb and Idnani ("A numerically
 stable dual method for solving strictly convex quadratic programs", Math.
-Programming 27, 1983). All rows are stacked once as ``N w <= h`` in
-canonical row-id order. The loop starts at the minimizer on the hard
+Programming 27, 1983). All rows are stacked once per solve as ``N w <= h``
+in canonical row-id order (:meth:`QpProblem.row_labels`): the equality
+rows, then a (lower, upper) pair per two-sided row, then per box entry. The
+same ids name the active set, the most violated row and the entries of the
+one multiplier vector. The loop starts at the minimizer on the hard
 equality rows, so it needs no feasible point, and adds the most violated
 inequality row until none is left. The objective Hessian is a positive
 multiple of the identity (plus a penalty term when soft equality rows are
@@ -171,17 +174,6 @@ class QpProblem:
 
 
 @dataclass(frozen=True)
-class QpMultipliers:
-    """Lagrange multipliers, one nonnegative entry per one-sided row."""
-
-    eq: np.ndarray
-    in_lo: np.ndarray
-    in_hi: np.ndarray
-    box_lo: np.ndarray
-    box_hi: np.ndarray
-
-
-@dataclass(frozen=True)
 class QpSolution:
     w: np.ndarray
     status: str
@@ -189,7 +181,7 @@ class QpSolution:
     primal: float
     complementarity: float
     active_set: tuple[int, ...]
-    multipliers: QpMultipliers | None
+    multipliers: np.ndarray | None  # one per row, in row-id order
     eq_slack: np.ndarray
     softened: bool
     iterations: int
@@ -210,28 +202,16 @@ def _stacked_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     inequality points the same way; an absent bound is ``h = +inf``, a row
     that is never violated and never binding.
     """
-    lo_hi = np.array([[-1.0], [1.0]])
-    N = p.alpha * np.vstack([p.a_eq, np.kron(p.a_in, lo_hi), np.kron(np.eye(p.n), lo_hi)])
-    h = np.concatenate([
-        p.b_eq,
-        np.column_stack([-p.lb_in, p.ub_in]).ravel(),
-        np.column_stack([-p.lb_box, p.ub_box]).ravel(),
-    ])
-    return N, h
-
-
-def _split(p: QpProblem, lam: np.ndarray) -> QpMultipliers:
-    """Per-family views of one multiplier vector over the stacked rows."""
     m, k = p.n_eq, p.n_eq + 2 * p.n_in
-    return QpMultipliers(lam[:m], lam[m:k:2], lam[m + 1 : k : 2], lam[k::2], lam[k + 1 :: 2])
-
-
-def _stack(mult: QpMultipliers) -> np.ndarray:
-    return np.concatenate([
-        mult.eq,
-        np.column_stack([mult.in_lo, mult.in_hi]).ravel(),
-        np.column_stack([mult.box_lo, mult.box_hi]).ravel(),
-    ])
+    N = np.zeros((p.n_rows, p.n))
+    h = np.empty(p.n_rows)
+    N[:m], h[:m] = p.alpha * p.a_eq, p.b_eq
+    N[m:k:2], h[m:k:2] = p.alpha * -p.a_in, -p.lb_in
+    N[m + 1 : k : 2], h[m + 1 : k : 2] = p.alpha * p.a_in, p.ub_in
+    j = np.arange(p.n)
+    N[k + 2 * j, j], h[k::2] = -p.alpha, -p.lb_box
+    N[k + 1 + 2 * j, j], h[k + 1 :: 2] = p.alpha, p.ub_box
+    return N, h
 
 
 def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray):
@@ -350,21 +330,8 @@ def _objective_terms(p: QpProblem, soften: bool):
     return H, c
 
 
-def kkt_residuals(
-    p: QpProblem,
-    w: np.ndarray,
-    multipliers: QpMultipliers,
-    *,
-    penalized: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """Stationarity, primal-feasibility and complementarity infinity norms.
-
-    ``penalized`` marks equality rows handled as a quadratic penalty; those
-    rows contribute a gradient term instead of a primal residual.
-    """
-    w = np.asarray(w, dtype=float)
-    N, h = _stacked_rows(p)
-    lam = _stack(multipliers)
+def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
+    """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
     grad = 2.0 * p.scale * (w + p.g)
     if penalized is not None and np.any(penalized):
         Es = p.alpha * p.a_eq[penalized]
@@ -378,6 +345,24 @@ def kkt_residuals(
     gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
     comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
     return stationarity, float(primal), comp
+
+
+def kkt_residuals(
+    p: QpProblem,
+    w: np.ndarray,
+    multipliers: np.ndarray,
+    *,
+    penalized: np.ndarray | None = None,
+) -> tuple[float, float, float]:
+    """Stationarity, primal-feasibility and complementarity infinity norms.
+
+    ``multipliers`` holds one entry per row, in row-id order
+    (:meth:`QpProblem.row_labels`), as in :attr:`QpSolution.multipliers`.
+    ``penalized`` marks equality rows handled as a quadratic penalty; those
+    rows contribute a gradient term instead of a primal residual.
+    """
+    N, h = _stacked_rows(p)
+    return _kkt(p, N, h, np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
 
 
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
@@ -408,8 +393,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        mult = _split(p, lam)
-        stat, primal, comp = kkt_residuals(p, w, mult, penalized=p.eq_soft if soften else None)
+        stat, primal, comp = _kkt(p, N, h, w, lam, p.eq_soft if soften else None)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
@@ -422,7 +406,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
             primal=primal,
             complementarity=comp,
             active_set=tuple(np.flatnonzero(binding).tolist()) if status == STATUS_OPTIMAL else (),
-            multipliers=mult,
+            multipliers=lam,
             eq_slack=N[:m] @ w - p.b_eq,
             softened=soften,
             iterations=cap_iters,

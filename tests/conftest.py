@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for tests.oracles as plain module
 
 from flexloop.fileio import parse_network_file, parse_scenario_file
-from flexloop.grid import Branch, Bus, Fpu, NetworkSpec, build_devices, build_network
+from flexloop.grid import Branch, Bus, DroopInverter, Fpu, Load, NetworkSpec, build_devices, build_network
 
 DATA = Path(__file__).parent.parent / "src" / "flexloop" / "data"
 
@@ -52,6 +52,23 @@ def make_two_bus(r_ohm=0.016, x_ohm=0.016, with_fpu=False):
 @pytest.fixture
 def two_bus():
     return make_two_bus()
+
+
+def make_hair_thin_ramp():
+    """Two buses with one droop inverter of enormous gain over a hair-thin
+    ramp: at a 1.02 p.u. slack the solution sits on the ramp, and Newton
+    backtracks on the way there."""
+    spec = NetworkSpec(
+        buses=(Bus(1, 400.0, "slack"), Bus(2, 400.0, "pq")),
+        branches=(Branch(1, 2, 0.8, 0.8),),
+        devices=(
+            DroopInverter(bus=2, p_fixed_w=0.0, q_max_var=3e3,
+                          v_db_lo=0.9999, v_db_hi=1.0001, v_lo=0.999, v_hi=1.001),
+            Load(bus=2, p_w=2e3, q_var=0.0),
+        ),
+    )
+    net = build_network(spec)
+    return net, build_devices(spec, net)
 
 
 def random_injections(rng, n_pq, scale=0.05):

@@ -106,6 +106,28 @@ def test_bad_argument_is_input_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--rho", "-1"),
+        ("--band", "-0.5"),
+        ("--actuation-delay", "-1"),
+        ("--band", "nan"),
+        ("--alpha", "nan"),
+        ("--noise-sigma", "nan"),
+        ("--seed", "-1"),
+    ],
+)
+def test_invalid_setting_is_one_line_input_error(tmp_path, capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "--scenario", "exp_a_14p5kw", flag, value, "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())  # checked before anything ran
+
+
 def test_diverging_scenario_is_runtime_error(tmp_path, capsys):
     scn = tmp_path / "boom.scn"
     scn.write_text(

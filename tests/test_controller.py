@@ -233,3 +233,27 @@ def test_config_validation(lab_net, lab_devices, sens):
         _cfg(lab_net, lab_devices, sens, alpha=0.0)
     with pytest.raises(ValueError, match="tracking gain"):
         _cfg(lab_net, lab_devices, sens, tracking_gain=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", np.nan),
+        ("alpha", np.inf),
+        ("rho", np.nan),
+        ("rho", np.inf),
+        ("max_step_pu", np.nan),
+        ("max_step_pu", np.inf),
+        ("max_step_pu", 0.0),
+        ("v_min", np.nan),
+        ("v_min", -np.inf),
+        ("v_max", np.nan),
+        ("v_max", np.inf),
+    ],
+)
+def test_config_rejects_non_finite_settings(lab_net, lab_devices, sens, field, value):
+    cfg = _cfg(lab_net, lab_devices, sens)
+    if field in ("v_min", "v_max"):
+        value = np.full_like(getattr(cfg, field), value)
+    with pytest.raises(ValueError):
+        replace(cfg, **{field: value})

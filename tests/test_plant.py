@@ -9,7 +9,6 @@ from flexloop.grid import (
     Bus,
     DeviceLimitError,
     DroopInverter,
-    Load,
     NetworkSpec,
     add_setpoint_injections,
     base_injections,
@@ -30,6 +29,7 @@ from flexloop.plant import (
 )
 from flexloop.powerflow import solve_power_flow
 
+from conftest import make_hair_thin_ramp
 from oracles import picard_droop_response, qv_droop
 
 
@@ -393,17 +393,7 @@ def test_noise_seeded_and_reproducible(lab_net, lab_devices):
 def test_droop_hair_thin_ramp_converges():
     # enormous gain over a hair-thin ramp: a fixed-point iteration q <- Q(V(q))
     # oscillates here, one Newton solve with the droop in its mismatch does not
-    spec = NetworkSpec(
-        buses=(Bus(1, 400.0, "slack"), Bus(2, 400.0, "pq")),
-        branches=(Branch(1, 2, 0.8, 0.8),),
-        devices=(
-            DroopInverter(bus=2, p_fixed_w=0.0, q_max_var=3e3,
-                          v_db_lo=0.9999, v_db_hi=1.0001, v_lo=0.999, v_hi=1.001),
-            Load(bus=2, p_w=2e3, q_var=0.0),
-        ),
-    )
-    net = build_network(spec)
-    devices = build_devices(spec, net)
+    net, devices = make_hair_thin_ramp()
     assert picard_droop_response(net, devices, np.zeros(0), 1.02, tol=1e-8, max_iter=50) is None
     sol, q, ok = steady_state_response(net, devices, np.zeros(0), slack_v=1.02)
     assert ok and sol.converged
@@ -435,3 +425,22 @@ def test_applied_setpoints_clipped_to_device_limits(lab_net, lab_devices):
     state, _ = plant.step(state, wild)
     lb, ub = lab_devices.setpoint_bounds_pu(lab_net.s_base_va)
     assert np.all(state.applied >= lb) and np.all(state.applied <= ub)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_sample_s", np.nan),
+        ("t_sample_s", np.inf),
+        ("t_sample_s", 0.0),
+        ("noise_sigma", np.nan),
+        ("noise_sigma", np.inf),
+        ("noise_sigma", -1e-3),
+        ("actuation_delay", -1),
+        ("seed", -1),
+    ],
+)
+def test_plant_config_rejects_invalid_settings(field, value):
+    PlantConfig(**{field: 1})  # the same field with a valid value
+    with pytest.raises(ValueError):
+        PlantConfig(**{field: value})

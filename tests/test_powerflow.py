@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flexloop.grid import Branch, Bus, NetworkSpec, base_injections, build_network
+import flexloop.powerflow
+from flexloop.grid import Branch, Bus, DroopLaw, NetworkSpec, base_injections, build_network, droop_law
 from flexloop.powerflow import (
     SingularJacobianError,
     bus_powers,
@@ -11,6 +12,7 @@ from flexloop.powerflow import (
     solve_power_flow,
 )
 
+from conftest import make_hair_thin_ramp
 from oracles import branch_losses_w, dense_bus_powers, two_bus_voltage, zbus_power_flow
 
 
@@ -214,3 +216,32 @@ def test_slack_bus_state_pinned(lab_net, lab_devices):
     sol = solve_power_flow(lab_net, inj, 1.048)
     assert sol.v_mag[0] == 1.048
     assert sol.v_ang[0] == 0.0
+
+
+def test_each_voltage_point_evaluated_once(monkeypatch, lab_net, lab_devices):
+    # the mismatch, the Jacobian and the reported powers of a Newton point
+    # share one evaluation of the kernels and of the droop law
+    seen = {"evaluate": [], "response": []}
+    evaluate, response = flexloop.powerflow._evaluate, DroopLaw.response
+
+    def record_evaluate(net, v_mag, v_ang):
+        seen["evaluate"].append(v_mag.tobytes() + v_ang.tobytes())
+        return evaluate(net, v_mag, v_ang)
+
+    def record_response(law, v):
+        seen["response"].append(np.asarray(v).tobytes())
+        return response(law, v)
+
+    monkeypatch.setattr(flexloop.powerflow, "_evaluate", record_evaluate)
+    monkeypatch.setattr(DroopLaw, "response", record_response)
+    hair_net, hair_devices = make_hair_thin_ramp()
+    for net, devices, slack_v in ((lab_net, lab_devices, 1.04), (hair_net, hair_devices, 1.02)):
+        for calls in seen.values():
+            calls.clear()
+        inj = base_injections(net, devices)
+        sol = solve_power_flow(net, inj, slack_v, droop=droop_law(net, devices))
+        assert sol.converged and sol.iterations >= 2
+        for name, calls in seen.items():
+            assert len(set(calls)) == len(calls) >= sol.iterations + 1, name
+    # the hair-thin ramp backtracks: more points than Newton steps
+    assert len(seen["evaluate"]) > sol.iterations + 2

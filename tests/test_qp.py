@@ -37,7 +37,7 @@ def test_one_dimensional_box_active():
     assert sol.w[0] == pytest.approx(1.0, abs=1e-10)
     # row ids: no eq, no ineq -> box[0]:hi is id 1
     assert sol.active_set == (1,)
-    assert sol.multipliers.box_hi[0] == pytest.approx(4.0, abs=1e-8)
+    assert sol.multipliers[1] == pytest.approx(4.0, abs=1e-8)
 
 
 def _random_problem(rng, n, with_eq=True, soft=False):
@@ -130,8 +130,10 @@ def test_scaling_invariance_of_minimizer():
     s2 = solve_qp(scaled)
     np.testing.assert_allclose(s1.w, s2.w, atol=1e-9)
     # multipliers scale with the objective
-    np.testing.assert_allclose(7.5 * s1.multipliers.eq, s2.multipliers.eq, atol=1e-6)
-    np.testing.assert_allclose(7.5 * s1.multipliers.box_hi, s2.multipliers.box_hi, atol=1e-6)
+    eq = slice(0, base.n_eq)
+    box_hi = slice(base.n_eq + 2 * base.n_in + 1, None, 2)  # box[j]:hi row ids
+    np.testing.assert_allclose(7.5 * s1.multipliers[eq], s2.multipliers[eq], atol=1e-6)
+    np.testing.assert_allclose(7.5 * s1.multipliers[box_hi], s2.multipliers[box_hi], atol=1e-6)
 
 
 def test_determinism():
@@ -291,13 +293,61 @@ def test_softened_optimum_certified_relative_to_multipliers():
     assert enumerate_qp(p) is None
     np.testing.assert_allclose(sol.w, enumerate_qp(p, soften=True)[0], atol=1e-9)
     m = sol.multipliers
-    size = max(np.max(np.abs(np.concatenate([m.eq, m.in_lo, m.in_hi, m.box_lo, m.box_hi]))), 1.0)
+    size = max(np.max(np.abs(m)), 1.0)
     assert size > 1e5
     assert max(sol.stationarity / size, sol.primal, sol.complementarity / size) <= KKT_TOL
     # the reported triple stays absolute
     assert (sol.stationarity, sol.primal, sol.complementarity) == kkt_residuals(
         p, sol.w, m, penalized=p.eq_soft
     )
+
+
+def test_rows_stacked_once_per_solve(monkeypatch):
+    calls = []
+    stacked_rows = flexloop.qp._stacked_rows
+
+    def counting(p):
+        calls.append(p)
+        return stacked_rows(p)
+
+    monkeypatch.setattr(flexloop.qp, "_stacked_rows", counting)
+    rng = np.random.default_rng(8)
+    problems = [_random_problem(rng, int(rng.integers(2, 7)), with_eq=t % 2 == 0) for t in range(6)]
+    problems += [
+        QpProblem(  # softened
+            g=np.zeros(1), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
+            eq_soft=np.array([True]), ub_box=np.array([0.5]),
+        ),
+        QpProblem(  # infeasible, certified by the least-violation LP
+            g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]), ub_box=np.array([1.0, 1.0]),
+        ),
+    ]
+    statuses = set()
+    for k, p in enumerate(problems, start=1):
+        sol = solve_qp(p)
+        statuses.add((sol.status, sol.softened))
+        assert len(calls) == k
+    assert {(STATUS_OPTIMAL, True), (STATUS_INFEASIBLE, False)} <= statuses
+
+
+def test_multipliers_are_one_vector_in_row_id_order():
+    rng = np.random.default_rng(42)
+    for trial in range(60):
+        p = _random_problem(rng, int(rng.integers(2, 7)), with_eq=trial % 2 == 0, soft=trial % 4 == 0)
+        sol = solve_qp(p)
+        lam = sol.multipliers
+        assert len(lam) == p.n_rows == len(p.row_labels())
+        # inequality rows follow the equality rows as (lo, hi) pairs,
+        # voltage rows first, then box entries
+        absent = np.isinf(np.concatenate([
+            np.column_stack([p.lb_in, p.ub_in]).ravel(),
+            np.column_stack([p.lb_box, p.ub_box]).ravel(),
+        ]))
+        assert np.all(lam[p.n_eq:] >= 0.0)
+        assert np.all(lam[p.n_eq:][absent] == 0.0)
+        assert kkt_residuals(p, sol.w, lam, penalized=p.eq_soft if sol.softened else None) == (
+            sol.stationarity, sol.primal, sol.complementarity
+        )
 
 
 @st.composite
