@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import DeviceSet, NetworkModel
-from .qp import STATUS_OPTIMAL, QpProblem, QpSolution, solve_qp
+from .qp import DEFAULT_RHO, STATUS_OPTIMAL, QpProblem, QpSolution, solve_qp
 from .sensitivity import SensitivityMatrix
 
 DEFAULT_ALPHA = 0.3
-DEFAULT_RHO = 1e4
 DEFAULT_BAND = 0.05  # +/- around nominal voltage, p.u.
 DEFAULT_TRACKING_GAIN = 0.85
 SLACK_FLAG_TOL = 1e-6  # p.u.; equality slack above this is flagged
@@ -104,6 +103,14 @@ class ControllerConfig:
             raise ValueError(f"per-step limit must be positive and finite, got {self.max_step_pu}")
         if not 0.0 < self.tracking_gain <= 1.0:
             raise ValueError("tracking gain must be in (0, 1]")
+        # every shape the projection QP combines, so a mismatch cannot raise
+        # inside controller_step
+        n_v, p = len(self.monitored), len(self.u_min)
+        if not np.shape(self.v_min) == np.shape(self.v_max) == (n_v,) or np.shape(self.u_max) != (p,):
+            raise ValueError("voltage band or setpoint box does not match the monitored buses or setpoints")
+        sens = self.sensitivity
+        if sens is not None and (np.shape(sens.dv) != (n_v, p) or np.shape(sens.dpcc) != (p,)):
+            raise ValueError(f"sensitivity must map {p} setpoints to {n_v} voltages and the PCC power")
 
     @staticmethod
     def for_network(
@@ -118,15 +125,13 @@ class ControllerConfig:
         max_step_pu: float | None = None,
         tracking_gain: float = DEFAULT_TRACKING_GAIN,
     ) -> "ControllerConfig":
-        monitored = (
-            sensitivity.monitored_buses if sensitivity is not None else net.pq_ids
-        )
+        monitored = net.pq_ids
         u_min, u_max = devices.setpoint_bounds_pu(net.s_base_va)
         return ControllerConfig(
             alpha=alpha,
             rho=rho,
             p_set_pu=p_set_kw * 1e3 / net.s_base_va,
-            monitored=tuple(monitored),
+            monitored=monitored,
             v_min=np.full(len(monitored), 1.0 - band),
             v_max=np.full(len(monitored), 1.0 + band),
             u_min=u_min,
@@ -168,7 +173,7 @@ def assemble_projection_qp(
     p = sens.n_setpoints
     if u.shape != (p,):
         raise ValueError(f"setpoint vector must have shape ({p},)")
-    if not (y.bus_ids == cfg.monitored == sens.monitored_buses) or y.v.shape != (len(y.bus_ids),):
+    if y.bus_ids != cfg.monitored or y.v.shape != (len(y.bus_ids),):
         raise InvalidMeasurementError("measurement buses or voltages do not match the monitored set")
 
     lb_box = cfg.u_min - u

@@ -18,8 +18,11 @@ from scipy.optimize import nnls
 
 from .controller import (
     DEFAULT_BAND,
+    DEFAULT_RHO,
     ControllerConfig,
+    Measurement,
     StepRecord,
+    assemble_projection_qp,
     controller_step,
     set_flexibility_request,
 )
@@ -35,7 +38,7 @@ from .plant import (
     steady_state_response,
     validate_scenario,
 )
-from .sensitivity import compute_sensitivity, linearize
+from .sensitivity import SensitivityMatrix, compute_sensitivity, linearize
 
 SETTLE_TOL_KW = 0.1  # "flexibility provided"
 STEADY_TOL_KW = 0.01  # "without tracking error"
@@ -180,7 +183,7 @@ def run_closed_loop(
     validate_scenario(scenario, net, devices)
 
     if ctrl_cfg.sensitivity is None:
-        sens = compute_sensitivity(net, devices, u, monitored=ctrl_cfg.monitored)
+        sens = compute_sensitivity(net, devices, u)
         ctrl_cfg = replace(ctrl_cfg, sensitivity=sens)
 
     plant = Plant(net, devices, plant_cfg)
@@ -379,14 +382,16 @@ def reference_opf(
     """Minimize total squared feed-in subject to the band, the device boxes
     and exact PCC tracking, against the true steady-state plant response.
 
-    Projected-gradient descent with locally refreshed analytic
-    linearizations (the Jacobian of the one power flow that solves the grid
-    and its legacy Q(V) droop together), restarted from random interior
+    Projected-gradient descent whose every step is the controller's
+    projection QP (:func:`~flexloop.controller.assemble_projection_qp`,
+    tracking gain 1) at the exact response and a fresh analytic
+    linearization there (the Jacobian of the one power flow that solves the
+    grid and its legacy Q(V) droop together), restarted from random interior
     points; the best feasible stationary point wins. Raises
     :class:`InfeasibleRequestError` with the closest attainable PCC power
     and the binding limits when the request is out of reach.
     """
-    from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
+    from .qp import solve_qp, STATUS_OPTIMAL
 
     p = devices.n_setpoints
     lb, ub = devices.setpoint_bounds_pu(net.s_base_va)
@@ -394,6 +399,10 @@ def reference_opf(
         n_pq = len(net.pq_ids)
         v_min, v_max = np.full(n_pq, 1.0 - DEFAULT_BAND), np.full(n_pq, 1.0 + DEFAULT_BAND)
     droop = droop_law(net, devices)
+    cfg = ControllerConfig(
+        alpha=OPF_STEP, rho=DEFAULT_RHO, p_set_pu=p_set_pu, monitored=net.pq_ids,
+        v_min=v_min, v_max=v_max, u_min=lb, u_max=ub, s_base_va=net.s_base_va, tracking_gain=1.0,
+    )
 
     def respond(u, prev=None):
         sol, _, _ = steady_state_response(
@@ -403,13 +412,11 @@ def reference_opf(
         return sol.v_mag[1:].copy(), sol.pcc_power_pu, sol
 
     def local_jacobian(sol):
-        return linearize(net, devices, sol, net.pq_ids, droop)
+        return linearize(net, devices, sol, droop)
 
     def descend(u_start):
         u = np.clip(u_start, lb, ub)
         pf = None
-        u_lin = None
-        dv = dpcc = None
         best_gap = np.inf
         best_phi = np.inf
         stall = 0
@@ -430,34 +437,16 @@ def reference_opf(
                 stall = 0
             best_gap = min(best_gap, gap)
             best_phi = min(best_phi, phi)
-            if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
-                dv, dpcc = local_jacobian(pf)
-                u_lin = u.copy()
-            qp = QpProblem(
-                g=2.0 * u,
-                alpha=OPF_STEP,
-                a_eq=dpcc[None, :],
-                b_eq=np.array([p_set_pu - pcc]),
-                eq_soft=np.array([True]),
-                a_in=dv,
-                lb_in=v_min - v,
-                ub_in=v_max - v,
-                lb_box=lb - u,
-                ub_box=ub - u,
-            )
-            sol = solve_qp(qp)
+            y = Measurement.make(v, net.pq_ids, pcc, 0.0)
+            sens = SensitivityMatrix(*local_jacobian(pf))
+            sol = solve_qp(assemble_projection_qp(u, y, replace(cfg, sensitivity=sens)))
             if sol.status != STATUS_OPTIMAL:
                 return None
             u_new = np.clip(u + OPF_STEP * sol.w, lb, ub)
-            if np.max(np.abs(u_new - u)) < 1e-10:
-                if np.max(np.abs(u - u_lin)) < 1e-9:
-                    u = u_new
-                    break
-                # converged on a stale linearization: refresh and keep going
-                dv, dpcc = local_jacobian(pf)
-                u_lin = u.copy()
-                continue
+            converged = np.max(np.abs(u_new - u)) < 1e-10
             u = u_new
+            if converged:
+                break
         v, pcc, pf = respond(u, pf)
         dv, dpcc = local_jacobian(pf)
         stat, binding = _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max)

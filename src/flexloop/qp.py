@@ -2,7 +2,7 @@
 
 Solves
 
-    min  scale * || w + g ||^2
+    min  || w + g ||^2
     s.t. alpha * A_eq w  = b_eq          (equality rows, may be declared soft)
          lb_in <= alpha * A_in w <= ub_in   (two-sided rows)
          lb_box <= alpha * w <= ub_box      (box rows)
@@ -42,6 +42,7 @@ STATUS_MAX_ITER = "max_iter"
 
 KKT_TOL = 1e-8
 ACTIVE_TOL = 1e-7
+DEFAULT_RHO = 1e4  # weight of the soft equality rows' penalty
 
 _VIOL_TOL = 0.1 * KKT_TOL  # a row violated by no more than this is met
 _SPAN_EPS = 1e-11  # |H z| <= this * |N_row|: the row lies in the working rows' span
@@ -70,8 +71,7 @@ class QpProblem:
     ``lb_box``/``ub_box`` bound the applied update ``alpha * w`` (device
     limits shifted by the current setpoint), ``lb_in``/``ub_in`` bound the
     linearized voltage response, and the equality rows pin the linearized
-    PCC power. ``scale`` multiplies the whole objective and exists so the
-    scaling invariance of the minimizer is directly testable.
+    PCC power.
     """
 
     g: np.ndarray
@@ -79,13 +79,12 @@ class QpProblem:
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     eq_soft: np.ndarray | None = None
-    rho: float = 1e4
+    rho: float = DEFAULT_RHO
     a_in: np.ndarray | None = None
     lb_in: np.ndarray | None = None
     ub_in: np.ndarray | None = None
     lb_box: np.ndarray | None = None
     ub_box: np.ndarray | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
@@ -120,8 +119,8 @@ class QpProblem:
             raise ValueError("a bound is NaN; an absent bound is +/-inf")
         if np.any(self.lb_in > self.ub_in) or np.any(self.lb_box > self.ub_box):
             raise ValueError("lower bound above upper bound")
-        if not all(np.isfinite(x) and x > 0 for x in (self.alpha, self.rho, self.scale)):
-            raise ValueError("alpha, rho and scale must be positive and finite")
+        if not all(np.isfinite(x) and x > 0 for x in (self.alpha, self.rho)):
+            raise ValueError("alpha and rho must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -165,7 +164,6 @@ class QpProblem:
             "ub_in": self.ub_in.tolist(),
             "lb_box": self.lb_box.tolist(),
             "ub_box": self.ub_box.tolist(),
-            "scale": self.scale,
         }
 
     @staticmethod
@@ -320,23 +318,23 @@ def _dual_solve(
 
 def _objective_terms(p: QpProblem, soften: bool):
     """Hessian and linear term, optionally with the soft-row penalty."""
-    H = 2.0 * p.scale * np.eye(p.n)
-    c = 2.0 * p.scale * p.g
+    H = 2.0 * np.eye(p.n)
+    c = 2.0 * p.g
     if soften and np.any(p.eq_soft):
         Es = p.alpha * p.a_eq[p.eq_soft]
         bs = p.b_eq[p.eq_soft]
-        H = H + 2.0 * p.scale * p.rho * (Es.T @ Es)
-        c = c - 2.0 * p.scale * p.rho * (Es.T @ bs)
+        H = H + 2.0 * p.rho * (Es.T @ Es)
+        c = c - 2.0 * p.rho * (Es.T @ bs)
     return H, c
 
 
 def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
     """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
-    grad = 2.0 * p.scale * (w + p.g)
+    grad = 2.0 * (w + p.g)
     if penalized is not None and np.any(penalized):
         Es = p.alpha * p.a_eq[penalized]
         bs = p.b_eq[penalized]
-        grad = grad + 2.0 * p.scale * p.rho * (Es.T @ (Es @ w - bs))
+        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
     stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
     m = p.n_eq
     r = N @ w - h  # -inf on absent bounds

@@ -1,11 +1,11 @@
 """Steady-state input-output sensitivities of the grid.
 
 The controller needs one piece of model information: how a change in each
-controllable (P, Q) setpoint moves the monitored bus voltages and the active
-power exchanged at the PCC. The map is the analytic linearization of the
-power-flow equations at one operating point (implicit-function theorem, one
-solve with the Newton Jacobian) and is then held fixed; the feedback loop
-tolerates the resulting model mismatch.
+controllable (P, Q) setpoint moves the voltage of every PQ bus and the
+active power exchanged at the PCC. The map is the analytic linearization of
+the power-flow equations at one operating point (implicit-function theorem,
+one solve with the Newton Jacobian) and is then held fixed; the feedback
+loop tolerates the resulting model mismatch.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ class SensitivityError(RuntimeError):
 class SensitivityMatrix:
     """Linear response of (bus voltages, PCC power) to setpoint changes.
 
-    ``dv`` has one row per monitored bus and one column per setpoint entry,
-    in p.u. voltage per p.u. power; ``dpcc`` is the PCC-power row in p.u.
-    per p.u.
+    ``dv`` has one row per PQ bus, in ``net.pq_ids`` order, and one column
+    per setpoint entry, in p.u. voltage per p.u. power; ``dpcc`` is the
+    PCC-power row in p.u. per p.u.
     """
 
     dv: np.ndarray
     dpcc: np.ndarray
-    monitored_buses: tuple[int, ...]
 
     @property
     def n_setpoints(self) -> int:
@@ -48,18 +47,17 @@ def linearize(
     net: NetworkModel,
     devices: DeviceSet,
     sol: PowerFlowSolution,
-    monitored: tuple[int, ...],
     droop: DroopLaw | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(dv, dpcc)`` at a converged power flow, by the implicit-function theorem.
 
     The PQ mismatch ``S(x) - S_spec(u) = 0`` gives ``J dx = C du``; ``C``
     places each setpoint at its :func:`~flexloop.grid.pq_positions` entry,
-    the map :func:`add_setpoint_injections` uses. ``dv`` is the
-    monitored-magnitude part of ``dx``, ``dpcc`` the slack's active-power
-    row applied to it. With ``droop``, each legacy inverter's reactive
-    output follows its terminal voltage, as in the power flow; without it
-    the droop output is held fixed.
+    the map :func:`add_setpoint_injections` uses. ``dv`` is the magnitude
+    half of ``dx`` (every PQ bus, in ``net.pq_ids`` order), ``dpcc`` the
+    slack's active-power row applied to it. With ``droop``, each legacy
+    inverter's reactive output follows its terminal voltage, as in the power
+    flow; without it the droop output is held fixed.
     """
     full = power_jacobian(net, sol.v_mag, sol.v_ang, droop)
     jac = full[:-2]
@@ -70,16 +68,13 @@ def linearize(
         dx = np.linalg.solve(jac, c)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError("singular Jacobian at the operating point") from exc
-    dv = dx[pq_positions(net, monitored)[1::2]]
-    return dv, full[-2] @ dx
+    return dx[len(net.pq_ids):], full[-2] @ dx
 
 
 def compute_sensitivity(
     net: NetworkModel,
     devices: DeviceSet,
     u0: np.ndarray,
-    *,
-    monitored: tuple[int, ...] | None = None,
 ) -> SensitivityMatrix:
     """Analytic sensitivities around setpoint vector ``u0``.
 
@@ -92,11 +87,9 @@ def compute_sensitivity(
     p = devices.n_setpoints
     if u0.shape != (p,):
         raise ValueError(f"operating point must have shape ({p},), got {u0.shape}")
-    monitored = net.pq_ids if monitored is None else tuple(monitored)
 
     inj = add_setpoint_injections(base_injections(net, devices), net, devices, u0)
     ref = solve_power_flow(net, inj)
     if not ref.converged:
         raise SensitivityError("power flow does not converge at the operating point")
-    dv, dpcc = linearize(net, devices, ref, monitored)
-    return SensitivityMatrix(dv, dpcc, monitored_buses=monitored)
+    return SensitivityMatrix(*linearize(net, devices, ref))

@@ -132,19 +132,19 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
         b_hard = p.b_eq[~soft]
         e_pen = p.alpha * p.a_eq[soft]
         b_pen = p.b_eq[soft]
-        h = 2.0 * p.scale * (np.eye(n) + p.rho * e_pen.T @ e_pen)
-        c = 2.0 * p.scale * (p.g - p.rho * e_pen.T @ b_pen)
+        h = 2.0 * (np.eye(n) + p.rho * e_pen.T @ e_pen)
+        c = 2.0 * (p.g - p.rho * e_pen.T @ b_pen)
     else:
         e_hard = p.alpha * p.a_eq
         b_hard = p.b_eq
-        h = 2.0 * p.scale * np.eye(n)
-        c = 2.0 * p.scale * p.g
+        h = 2.0 * np.eye(n)
+        c = 2.0 * p.g
 
     def objective(w):
-        base = p.scale * float(np.dot(w + p.g, w + p.g))
+        base = float(np.dot(w + p.g, w + p.g))
         if soften and e_pen.size:
             r = e_pen @ w - b_pen
-            base += p.scale * p.rho * float(np.dot(r, r))
+            base += p.rho * float(np.dot(r, r))
         return base
 
     def feasible(w, tol=1e-8):

@@ -257,3 +257,21 @@ def test_config_rejects_non_finite_settings(lab_net, lab_devices, sens, field, v
         value = np.full_like(getattr(cfg, field), value)
     with pytest.raises(ValueError):
         replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cfg: {"sensitivity": replace(cfg.sensitivity, dv=cfg.sensitivity.dv[:3])},
+        lambda cfg: {"sensitivity": replace(cfg.sensitivity, dv=cfg.sensitivity.dv[:, :3])},
+        lambda cfg: {"sensitivity": replace(cfg.sensitivity, dpcc=cfg.sensitivity.dpcc[:3])},
+        lambda cfg: {"v_min": cfg.v_min[:3], "v_max": cfg.v_max[:3]},
+        lambda cfg: {"u_max": cfg.u_max[:3]},
+    ],
+    ids=["dv_rows", "dv_columns", "dpcc", "band", "box"],
+)
+def test_config_rejects_mismatched_shapes(lab_net, lab_devices, sens, change):
+    # each mismatch used to build, then raise inside controller_step
+    cfg = _cfg(lab_net, lab_devices, sens)
+    with pytest.raises(ValueError, match="sensitivity|band"):
+        replace(cfg, **change(cfg))

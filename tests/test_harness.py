@@ -309,6 +309,30 @@ def test_closest_attainable_keeps_its_closest_iterate(lab_net, lab_devices, monk
     assert exc.value.closest_pu < -0.28721
 
 
+def test_oracle_descent_linearizes_at_every_step(lab_net, lab_devices, monkeypatch):
+    # each projection step is posed at a fresh linearization, so there is at
+    # least one linearization per QP
+    import flexloop.harness as harness
+    import flexloop.qp as qp
+
+    calls = {"linearize": 0, "solve_qp": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(harness, "linearize")
+    counting(qp, "solve_qp")
+    reference_opf(lab_net, lab_devices, p_set_pu=-0.145, seed=0)
+    assert calls["solve_qp"] > 0
+    assert calls["linearize"] >= calls["solve_qp"]
+
+
 def test_random_feeders_deterministic():
     a = random_feeder(3)
     b = random_feeder(3)

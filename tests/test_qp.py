@@ -118,24 +118,6 @@ def test_kkt_residuals_on_oracle_solution():
     assert max(stat, primal, comp) < 1e-8
 
 
-def test_scaling_invariance_of_minimizer():
-    rng = np.random.default_rng(9)
-    base = _random_problem(rng, 4)
-    scaled = QpProblem(
-        g=base.g, alpha=base.alpha, a_eq=base.a_eq, b_eq=base.b_eq,
-        eq_soft=base.eq_soft, a_in=base.a_in, lb_in=base.lb_in, ub_in=base.ub_in,
-        lb_box=base.lb_box, ub_box=base.ub_box, scale=7.5,
-    )
-    s1 = solve_qp(base)
-    s2 = solve_qp(scaled)
-    np.testing.assert_allclose(s1.w, s2.w, atol=1e-9)
-    # multipliers scale with the objective
-    eq = slice(0, base.n_eq)
-    box_hi = slice(base.n_eq + 2 * base.n_in + 1, None, 2)  # box[j]:hi row ids
-    np.testing.assert_allclose(7.5 * s1.multipliers[eq], s2.multipliers[eq], atol=1e-6)
-    np.testing.assert_allclose(7.5 * s1.multipliers[box_hi], s2.multipliers[box_hi], atol=1e-6)
-
-
 def test_determinism():
     rng = np.random.default_rng(3)
     p = _random_problem(rng, 6)

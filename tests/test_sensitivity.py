@@ -65,7 +65,9 @@ def test_columns_match_independent_central_differences(lab_net, lab_devices):
 def test_operating_point_recorded(lab_net, lab_devices):
     u0 = np.array([0.05, 0.01, -0.02, 0.0])
     sens = compute_sensitivity(lab_net, lab_devices, u0)
-    assert sens.monitored_buses == (2, 3, 4, 5)
+    # one voltage row per PQ bus, in pq_ids order
+    assert lab_net.pq_ids == (2, 3, 4, 5)
+    assert sens.dv.shape == (len(lab_net.pq_ids), 4)
 
 
 def test_nonconverged_operating_point_rejected():
@@ -103,7 +105,7 @@ def test_droop_aware_linearization_matches_plant_central_differences(
     law = droop_law(lab_net, lab_devices)
     slopes = law.response(sol.v_mag[law.buses])[1]
     assert (slopes[0] != 0.0) == on_ramp
-    dv, dpcc = linearize(lab_net, lab_devices, sol, lab_net.pq_ids, law)
+    dv, dpcc = linearize(lab_net, lab_devices, sol, law)
     h = 1e-4
     for j in range(4):
         up, um = u0.copy(), u0.copy()
