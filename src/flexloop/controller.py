@@ -27,12 +27,13 @@ DEFAULT_ALPHA = 0.3
 DEFAULT_BAND = 0.05  # +/- around nominal voltage, p.u.
 DEFAULT_TRACKING_GAIN = 0.85
 SLACK_FLAG_TOL = 1e-6  # p.u.; equality slack above this is flagged
+MAX_MEASURED_PU = 1e3  # |v| or |p_pcc| above this is no physical reading
 
 
 class InvalidMeasurementError(ValueError):
-    """Measurement has an invalid or non-finite channel, or its buses or
-    voltage vector do not match the monitored set. Timestamps are not
-    checked."""
+    """Measurement has an invalid, non-finite or unphysical channel (beyond
+    ``MAX_MEASURED_PU``), or its buses or voltage vector do not match the
+    monitored set. Timestamps are not checked."""
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,24 @@ class Measurement:
 
     @staticmethod
     def make(v, bus_ids, p_pcc, timestamp) -> "Measurement":
-        """Measurement whose channels are valid exactly where they are finite."""
+        """Measurement whose channels are valid exactly where they are finite
+        and within ``MAX_MEASURED_PU`` in magnitude."""
         v = np.asarray(v, dtype=float)
         return Measurement(
             v=v,
             bus_ids=tuple(bus_ids),
             p_pcc=float(p_pcc),
             timestamp=float(timestamp),
-            v_valid=np.isfinite(v),
-            pcc_valid=bool(np.isfinite(p_pcc)),
+            v_valid=np.abs(v) <= MAX_MEASURED_PU,
+            pcc_valid=bool(abs(p_pcc) <= MAX_MEASURED_PU),
         )
 
     @property
     def all_valid(self) -> bool:
-        """Every channel flagged valid and finite; a flag alone is not trusted."""
-        finite = np.isfinite(self.p_pcc) and np.all(np.isfinite(self.v))
-        return bool(self.pcc_valid and np.all(self.v_valid) and finite)
+        """Every channel flagged valid, finite and within
+        ``MAX_MEASURED_PU``; a flag alone is not trusted."""
+        physical = abs(self.p_pcc) <= MAX_MEASURED_PU and np.all(np.abs(self.v) <= MAX_MEASURED_PU)
+        return bool(self.pcc_valid and np.all(self.v_valid) and physical)
 
 
 @dataclass(frozen=True)

@@ -201,20 +201,48 @@ class NetworkModel:
         return row, col, y.real.copy(), y.imag.copy()
 
     @cached_property
-    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where :attr:`ybus_nonzeros` land in the ``(2n, 2n - 2)`` power-flow
-        Jacobian (``powerflow.power_jacobian``): ``(diag, pq, flat)``, the
-        masks of the diagonal nonzeros and of those in a PQ column, and the
-        flat index of the four blocks of each PQ-column nonzero."""
+    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+        """Where :attr:`ybus_nonzeros` land in the banded power-flow Jacobian
+        (``powerflow._jacobian``): ``(diag, pq, flat, kl, perm, inv)``.
+
+        The unknowns ``[theta_pq; V_pq]`` and the mismatch rows ``[P_pq;
+        Q_pq]`` are permuted by ``perm`` (``inv`` undoes it): the PQ buses in
+        breadth-first order from the slack, each bus's (theta, V) columns and
+        (P, Q) rows adjacent. A radial feeder's Jacobian is then a band of
+        ``kl`` sub- and superdiagonals, stored LAPACK-style in an
+        ``(m, 3 kl + 1)`` array: entry (r, c) at ``[c, 2 kl + r - c]``, so its
+        transpose is ``dgbsv``'s ``ab``. The two slack rows follow it as a
+        ``(2, m)`` array over the unpermuted columns. ``diag`` and ``pq`` mask
+        the diagonal nonzeros and those in a PQ column, and ``flat`` is the
+        index of the four blocks of each PQ-column nonzero in the band and
+        slack rows laid end to end.
+        """
         i, k = self.ybus_nonzeros[:2]
         n = self.n_buses
         m = 2 * n - 2
+        start, cols = np.searchsorted(i, np.arange(n + 1)).tolist(), k.tolist()
+        order, seen = [0], [True] + [False] * (n - 1)
+        for b in order:
+            for c in cols[start[b]:start[b + 1]]:
+                if not seen[c]:
+                    seen[c] = True
+                    order.append(c)
+        # bus b > 0 owns band rows pos[b] (P) and pos[b] + 1 (Q), and band
+        # columns pos[b] (angle) and pos[b] + 1 (magnitude)
+        pos = np.empty(n, dtype=int)
+        pos[order] = np.arange(-2, m, 2)
+        inv = np.concatenate([pos[1:], pos[1:] + 1])
+        perm = np.argsort(inv)
         pq = k > 0
-        # bus i > 0 owns rows i - 1 (P) and n - 2 + i (Q), the slack the last
-        # two; column k > 0 is angle k - 1 or magnitude n - 2 + k
-        rows = np.where(i > 0, [i - 1, i + n - 2], [[m], [m + 1]])[:, None, pq]
-        cols = np.stack([k[pq] - 1, k[pq] + n - 2])[None]
-        return i == k, pq, rows * m + cols
+        r, c = pos[i[pq]], pos[k[pq]]
+        kl = int(np.max(np.abs(r - c), where=r >= 0, initial=0)) + 1
+        w = 3 * kl + 1
+        # block (a, b) of a nonzero sits at band (r + a, c + b); a slack
+        # row's at (a, k - 1 + b (n - 1)) of the slack rows after the band
+        band = (c * w + 2 * kl + r - c) + np.array([[0, w - 1], [1, w]])[..., None]
+        slack = (m * w - 1 + k[pq]) + np.array([[0, n - 1], [m, m + n - 1]])[..., None]
+        flat = np.where(r >= 0, band, slack)
+        return i == k, pq, flat, kl, perm, inv
 
 
 def build_network(spec: NetworkSpec) -> NetworkModel:

@@ -12,10 +12,15 @@ trigonometric terms
 summed per row: P_i = V_i * sum_k V_k t1[i,k], Q_i = V_i * sum_k V_k t2[i,k].
 An evaluation costs one pass over the nonzeros, and each voltage point is
 evaluated once: the Newton loop builds the mismatch, the Jacobian and the
-reported PCC power and losses from the same evaluation. The Newton step
-itself is a dense solve. This formulation avoids divisions by V and stays well defined
-(and exactly singular) at collapsed states, which the solver reports
-explicitly.
+reported PCC power and losses from the same evaluation. The Jacobian is
+assembled straight into LAPACK band storage, with the PQ buses in
+breadth-first order from the slack (``NetworkModel.jacobian_scatter``), and
+the Newton step is one band LU solve (``dgbsv``), the sparsity-ordered
+Newton power flow of Tinney & Hart (1967): a radial feeder's Jacobian is a
+band about twice as wide as the widest breadth-first level.
+:func:`~flexloop.sensitivity.linearize` solves with the same helper. This
+formulation avoids divisions by V and stays well defined (and exactly
+singular) at collapsed states, which the solver reports explicitly.
 
 Legacy inverters' piecewise-linear Q(V) droop (:class:`~flexloop.grid.DroopLaw`)
 can be solved in the same system: the specified Q at an inverter's bus
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from .grid import DroopLaw, NetworkModel
 
@@ -79,54 +85,48 @@ def _evaluate(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     return t1, t2, np.bincount(i, vk * t1, n), np.bincount(i, vk * t2, n)
 
 
-def _jacobian(net: NetworkModel, v_mag: np.ndarray, ev, droop: DroopLaw | None, dq_dv) -> np.ndarray:
-    """:func:`power_jacobian` assembled from the evaluation ``ev`` at
-    ``v_mag`` and, with ``droop``, its slopes ``dq_dv`` there."""
+def _jacobian(net: NetworkModel, v_mag: np.ndarray, ev, droop: DroopLaw | None, dq_dv):
+    """Analytic Jacobian of every bus injection with respect to the PQ
+    unknowns, assembled from the evaluation ``ev`` at ``v_mag``: ``(band,
+    slack)``, the Newton Jacobian [dP_pq; dQ_pq] by [d theta_pq; d V_pq] in
+    ``net.jacobian_scatter``'s permuted band storage, and the slack's
+    (P, Q) rows over the unpermuted columns; ``slack[0]`` is the PCC
+    exchange. With ``droop``, each legacy inverter's slope ``dq_dv`` is
+    subtracted on its bus's dQ/dV diagonal: the Jacobian of the mismatch
+    with ``q = Q(V)``."""
     t1, t2, r1, r2 = ev
     i, k = net.ybus_nonzeros[:2]
-    diag, pq, flat = net.jacobian_scatter
+    diag, pq, flat, kl, _, inv = net.jacobian_scatter
     m = 2 * net.n_buses - 2
     vi, vk = v_mag[i], v_mag[k]
     # [[dP/dth_k, dP/dV_k], [dQ/dth_k, dQ/dV_k]] per nonzero (i, k); the
     # diagonal entries, one per row in row order, add the row sums
     terms = np.array([[vi * vk * t2, vi * t1], [-vi * vk * t1, vi * t2]])
     terms[..., diag] += np.array([[-v_mag * r2, r1], [v_mag * r1, r2]])
-    jac = np.zeros((m + 2, m))
-    jac.ravel()[flat] = terms[..., pq]
+    buf = np.zeros(m * (3 * kl + 3))
+    buf[flat] = terms[..., pq]
+    band = buf[:m * (3 * kl + 1)].reshape(m, 3 * kl + 1)
     if droop is not None:
-        np.subtract.at(jac, (droop.rows, droop.rows), dq_dv)
-    return jac
+        np.subtract.at(band[:, 2 * kl], inv[droop.rows], dq_dv)
+    return band, buf[m * (3 * kl + 1):].reshape(2, m)
+
+
+def _band_solve(net: NetworkModel, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Newton Jacobian ``band`` (:func:`_jacobian`, overwritten by
+    its LU factors) for ``rhs``, both in the unpermuted order: one LAPACK
+    band LU with partial pivoting. An exactly zero pivot raises
+    ``LinAlgError``, as a dense solve would."""
+    kl, perm, inv = net.jacobian_scatter[3:]
+    x, info = dgbsv(kl, kl, band.T, rhs[perm], overwrite_ab=1, overwrite_b=1)[2:]
+    if info:
+        raise np.linalg.LinAlgError(f"zero pivot in column {info} of the band LU")
+    return x[inv]
 
 
 def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     """Active/reactive injections implied by a voltage state, per-unit."""
     r1, r2 = _evaluate(net, v_mag, v_ang)[2:]
     return v_mag * r1, v_mag * r2
-
-
-def power_jacobian(
-    net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray, droop: DroopLaw | None = None
-) -> np.ndarray:
-    """Analytic Jacobian of every bus injection with respect to the PQ unknowns.
-
-    Ordering: rows are [dP_pq; dQ_pq; dP_slack; dQ_slack], columns
-    [d theta_pq; d V_pq]. The first ``2 (n - 1)`` rows are the Newton
-    Jacobian; row ``-2`` is the slack's active power, the PCC exchange.
-    With ``droop``, each legacy inverter's dQ/dV is subtracted on its bus's
-    dQ/dV diagonal: the Jacobian of the mismatch with ``q = Q(V)``.
-    """
-    dq_dv = None if droop is None else droop.response(v_mag[droop.buses])[1]
-    return _jacobian(net, v_mag, _evaluate(net, v_mag, v_ang), droop, dq_dv)
-
-
-def newton_jacobian(
-    net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray, droop: DroopLaw | None = None
-) -> np.ndarray:
-    """Mismatch Jacobian: :func:`power_jacobian` without the slack rows.
-
-    Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
-    """
-    return power_jacobian(net, v_mag, v_ang, droop)[:-2]
 
 
 def solve_power_flow(
@@ -195,9 +195,8 @@ def solve_power_flow(
         """Newton direction from ``point``, then Armijo backtracking on
         ||f||^2 from the full step: the new point, and whether it descended."""
         f, ev, dq_dv = point
-        jac = _jacobian(net, v_mag, ev, droop, dq_dv)[:-2]
         try:
-            step = np.linalg.solve(jac, -f)
+            step = _band_solve(net, _jacobian(net, v_mag, ev, droop, dq_dv)[0], -f)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {it} "
@@ -251,11 +250,3 @@ def solve_power_flow(
         iterations=iterations,
         max_mismatch_pu=mismatch,
     )
-
-
-def kirchhoff_residual_pu(
-    net: NetworkModel, sol: PowerFlowSolution, injections_pu: np.ndarray
-) -> float:
-    """Active-power balance residual: injections + import - losses, per-unit."""
-    total_inj = float(np.sum(np.asarray(injections_pu)[:, 0]))
-    return abs(total_inj + sol.pcc_power_pu - sol.losses_w / net.s_base_va)

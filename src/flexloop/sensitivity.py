@@ -3,9 +3,10 @@
 The controller needs one piece of model information: how a change in each
 controllable (P, Q) setpoint moves the voltage of every PQ bus and the
 active power exchanged at the PCC. The map is the analytic linearization of
-the power-flow equations at one operating point (implicit-function theorem,
-one solve with the Newton Jacobian) and is then held fixed; the feedback
-loop tolerates the resulting model mismatch.
+the power-flow equations at one operating point (implicit-function theorem:
+one band LU solve with the Newton Jacobian, through the power flow's own
+solve helper) and is then held fixed; the feedback loop tolerates the
+resulting model mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import DeviceSet, DroopLaw, NetworkModel, add_setpoint_injections, base_injections, pq_positions
-from .powerflow import PowerFlowSolution, power_jacobian, solve_power_flow
+from .powerflow import PowerFlowSolution, _band_solve, _evaluate, _jacobian, solve_power_flow
 
 
 class SensitivityError(RuntimeError):
@@ -59,16 +60,16 @@ def linearize(
     inverter's reactive output follows its terminal voltage, as in the power
     flow; without it the droop output is held fixed.
     """
-    full = power_jacobian(net, sol.v_mag, sol.v_ang, droop)
-    jac = full[:-2]
+    dq_dv = None if droop is None else droop.response(sol.v_mag[droop.buses])[1]
+    band, slack = _jacobian(net, sol.v_mag, _evaluate(net, sol.v_mag, sol.v_ang), droop, dq_dv)
     p = devices.n_setpoints
-    c = np.zeros((len(jac), p))
+    c = np.zeros((len(band), p))
     c[pq_positions(net, devices.fpu_buses), np.arange(p)] = 1.0
     try:
-        dx = np.linalg.solve(jac, c)
+        dx = _band_solve(net, band, c)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError("singular Jacobian at the operating point") from exc
-    return dx[len(net.pq_ids):], full[-2] @ dx
+    return dx[len(net.pq_ids):], slack[0] @ dx
 
 
 def compute_sensitivity(

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for tests.oracles as plain module
@@ -69,6 +70,43 @@ def make_hair_thin_ramp():
     )
     net = build_network(spec)
     return net, build_devices(spec, net)
+
+
+def make_depth_first_feeder():
+    """Radial feeder of 120 buses, numbered depth-first: a trunk of 24 buses
+    from the slack, each with a lateral of two or more buses. The walk
+    follows the trunk to its end before it enters any lateral, so the
+    first trunk bus's lateral gets the last ids and natural id order puts
+    neighbours ~100 positions apart; breadth-first order keeps them within
+    two levels of about six buses each. Three controllable units sit on the
+    trunk's end, on bus 95 and on bus 120, the end of the last lateral."""
+    rng = np.random.default_rng(0)
+    n_trunk = 24
+    lateral = rng.multinomial(95 - 2 * n_trunk, np.full(n_trunk, 1.0 / n_trunk)) + 2
+    ids = iter(range(2, 121))
+    trunk = [next(ids) for _ in range(n_trunk)]
+    pairs = [(1, trunk[0])] + list(zip(trunk, trunk[1:]))
+    for t, length in zip(trunk[::-1], lateral):
+        chain = [t] + [next(ids) for _ in range(length)]
+        pairs += zip(chain, chain[1:])
+    branches = tuple(
+        Branch(a, b, float(rng.uniform(0.01, 0.04)), float(rng.uniform(0.005, 0.02))) for a, b in pairs
+    )
+    buses = (Bus(1, 400.0, "slack"),) + tuple(Bus(i, 400.0, "pq") for i in range(2, 121))
+    fpus = tuple(
+        Fpu(bus=b, p_min_w=-5e3, p_max_w=5e3, q_min_var=-5e3, q_max_var=5e3) for b in (trunk[-1], 95, 120)
+    )
+    spec = NetworkSpec(buses=buses, branches=branches, devices=fpus)
+    net = build_network(spec)
+    return net, build_devices(spec, net)
+
+
+def close_a_loop(net):
+    """``net`` with one more branch, between two PQ buses not yet adjacent."""
+    rng = np.random.default_rng(0)
+    a, b = rng.choice(np.argwhere(net.ybus[1:, 1:] == 0), axis=0) + 1
+    extra = Branch(net.bus_ids[a], net.bus_ids[b], float(rng.uniform(0.02, 0.06)), float(rng.uniform(0.01, 0.03)))
+    return build_network(NetworkSpec(buses=net.buses, branches=net.branches + (extra,)))
 
 
 def random_injections(rng, n_pq, scale=0.05):

@@ -7,7 +7,9 @@ from the dense complex admittance product rather than the per-nonzero
 kernels, losses are summed branch by branch, the legacy droop's steady
 state is a Picard iteration over plain power flows rather than one Newton
 solve with the droop in its mismatch, and the QP oracle enumerates active
-sets by brute force.
+sets by brute force. The dense Jacobian is the exception: it is unpacked
+from the band the power flow factors, so that finite differences and dense
+solves check the production assembly and its band layout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from flexloop.grid import DeviceSet, DroopInverter, NetworkModel, add_setpoint_injections, base_injections
-from flexloop.powerflow import solve_power_flow
+from flexloop.powerflow import PowerFlowSolution, _evaluate, _jacobian, solve_power_flow
 from flexloop.qp import QpProblem
 
 
@@ -81,6 +83,41 @@ def dense_bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     volts = v_mag * np.exp(1j * v_ang)
     s = volts * np.conj(net.ybus @ volts)
     return s.real, s.imag
+
+
+def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+    """The power flow's analytic Jacobian, unpacked to a dense matrix.
+
+    Ordering: rows are [dP_pq; dQ_pq; dP_slack; dQ_slack], columns
+    [d theta_pq; d V_pq]. The first ``2 (n - 1)`` rows are the Newton
+    Jacobian, read back from the band storage of ``powerflow._jacobian``
+    through ``net.jacobian_scatter``'s permutation; row ``-2`` is the
+    slack's active power, the PCC exchange.
+    """
+    band, slack = _jacobian(net, v_mag, _evaluate(net, v_mag, v_ang), None, None)
+    kl, perm = net.jacobian_scatter[3:5]
+    m = len(band)
+    r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= kl)
+    permuted = np.zeros((m, m))
+    permuted[r, c] = band[c, 2 * kl + r - c]
+    jac = np.zeros((m + 2, m))
+    jac[np.ix_(perm, perm)] = permuted
+    jac[m:] = slack
+    return jac
+
+
+def newton_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+    """Mismatch Jacobian: :func:`power_jacobian` without the slack rows.
+
+    Ordering: rows are [dP_pq; dQ_pq], columns [d theta_pq; d V_pq].
+    """
+    return power_jacobian(net, v_mag, v_ang)[:-2]
+
+
+def kirchhoff_residual_pu(net: NetworkModel, sol: PowerFlowSolution, injections_pu: np.ndarray) -> float:
+    """Active-power balance residual: injections + import - losses, per-unit."""
+    total_inj = float(np.sum(np.asarray(injections_pu)[:, 0]))
+    return abs(total_inj + sol.pcc_power_pu - sol.losses_w / net.s_base_va)
 
 
 def branch_losses_w(net: NetworkModel, volts: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from flexloop.cli import main
@@ -137,6 +139,22 @@ def test_diverging_scenario_is_runtime_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--scenario", str(scn), "--out", str(tmp_path))
     assert code == 2
     assert err.count("\n") == 1
+
+
+def test_absurd_noise_holds_every_sample_without_warnings(tmp_path, capsys):
+    # finite readings of ~1e300 p.u. are unphysical: each sample holds with
+    # an alarm before a QP is built, and the run still succeeds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "--scenario", "exp_a_14p5kw", "--noise-sigma", "1e300", "--out", str(tmp_path)
+        )
+    assert code == 0
+    assert err == ""
+    rows = [ln.split(",") for ln in (tmp_path / "telemetry.csv").read_text().strip().split("\n")]
+    i_status, i_alarm = rows[0].index("qp_status"), rows[0].index("alarm")
+    assert len(rows) > 1
+    assert all(r[i_status] == "held_invalid_measurement" and r[i_alarm] == "1" for r in rows[1:])
 
 
 def test_singular_plant_power_flow_is_runtime_error(tmp_path, capsys, monkeypatch):

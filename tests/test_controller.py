@@ -1,9 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flexloop.controller import (
+    MAX_MEASURED_PU,
     ControllerConfig,
     InvalidMeasurementError,
     Measurement,
@@ -165,6 +167,30 @@ def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
         np.testing.assert_array_equal(u_next, u)
         assert rec.alarm
         assert rec.qp_status == "held_invalid_measurement"
+
+
+@pytest.mark.parametrize(
+    "v_bad, p_pcc",
+    [(1e300, 0.0), (-2e3, 0.0), (1.0, 1e300), (1.0, -2e3)],
+    ids=["huge-voltage", "negative-voltage", "huge-pcc", "negative-pcc"],
+)
+def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_bad, p_pcc):
+    # finite but beyond MAX_MEASURED_PU: held before any QP is built, so no
+    # overflow can reach the solver
+    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
+    assert not y.all_valid
+    flagged_valid = replace(y, v_valid=np.ones(4, dtype=bool), pcc_valid=True)
+    for meas in (y, flagged_valid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_next, rec = controller_step(u, meas, cfg)
+        np.testing.assert_array_equal(u_next, u)
+        assert rec.alarm
+        assert rec.qp_status == "held_invalid_measurement"
+    # the bound itself is a valid reading
+    assert _measurement(cfg, v=MAX_MEASURED_PU, p_pcc=-MAX_MEASURED_PU).all_valid
 
 
 @pytest.mark.parametrize(

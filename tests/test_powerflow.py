@@ -3,17 +3,19 @@ import pytest
 
 import flexloop.powerflow
 from flexloop.grid import Branch, Bus, DroopLaw, NetworkSpec, base_injections, build_network, droop_law
-from flexloop.powerflow import (
-    SingularJacobianError,
-    bus_powers,
+from flexloop.harness import random_feeder
+from flexloop.powerflow import SingularJacobianError, _band_solve, _evaluate, _jacobian, bus_powers, solve_power_flow
+
+from conftest import close_a_loop, make_depth_first_feeder, make_hair_thin_ramp
+from oracles import (
+    branch_losses_w,
+    dense_bus_powers,
     kirchhoff_residual_pu,
     newton_jacobian,
     power_jacobian,
-    solve_power_flow,
+    two_bus_voltage,
+    zbus_power_flow,
 )
-
-from conftest import make_hair_thin_ramp
-from oracles import branch_losses_w, dense_bus_powers, two_bus_voltage, zbus_power_flow
 
 
 def _meshed_net():
@@ -245,3 +247,48 @@ def test_each_voltage_point_evaluated_once(monkeypatch, lab_net, lab_devices):
             assert len(set(calls)) == len(calls) >= sol.iterations + 1, name
     # the hair-thin ramp backtracks: more points than Newton steps
     assert len(seen["evaluate"]) > sol.iterations + 2
+
+
+def _band_cases(lab_net, lab_devices):
+    """(name, network, devices) of every layout the band LU must handle."""
+    cases = [("lab5", lab_net, lab_devices)]
+    cases += [(f"random{s}", *random_feeder(s)[:2]) for s in range(5)]
+    net, devices = random_feeder(3)[:2]
+    cases.append(("meshed", close_a_loop(net), devices))
+    cases.append(("depth-first120", *make_depth_first_feeder()))
+    return cases
+
+
+def test_band_newton_step_matches_dense_solve(lab_net, lab_devices):
+    # the Newton step through the permuted band LU equals a dense solve of
+    # the unpermuted Jacobian, legacy droop slopes included where present
+    rng = np.random.default_rng(21)
+    for name, net, devices in _band_cases(lab_net, lab_devices):
+        vm, va = _random_state(rng, net.n_buses)
+        law = droop_law(net, devices)
+        q, dq_dv = law.response(vm[law.buses])
+        f = rng.normal(size=2 * net.n_buses - 2)
+        dense = newton_jacobian(net, vm, va)
+        np.subtract.at(dense, (law.rows, law.rows), dq_dv)
+        ref = np.linalg.solve(dense, f)
+        step = _band_solve(net, _jacobian(net, vm, _evaluate(net, vm, va), law, dq_dv)[0], f)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+
+def test_band_stays_narrow_in_breadth_first_order():
+    # numbered depth-first, the 120-bus feeder's neighbours lie far apart in
+    # id order; breadth-first from the slack they do not
+    net, _ = make_depth_first_feeder()
+    m = 2 * net.n_buses - 2
+    kl = net.jacobian_scatter[3]
+    i, k = net.ybus_nonzeros[:2]
+    pq = (i > 0) & (k > 0)
+    natural = 2 * int(np.max(np.abs(i[pq] - k[pq]))) + 1
+    assert kl < m / 4 <= natural
+
+
+def test_collapsed_state_raises_singular_on_lab_feeder(lab_net, lab_devices):
+    # every PQ voltage at zero: the angle columns vanish, an exact zero pivot
+    x0 = (np.zeros(lab_net.n_buses), np.zeros(lab_net.n_buses))
+    with pytest.raises(SingularJacobianError, match="singular Jacobian at iteration 0"):
+        solve_power_flow(lab_net, base_injections(lab_net, lab_devices), 1.0, x0=x0)

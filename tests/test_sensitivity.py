@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import flexloop.sensitivity as sensitivity
-from flexloop.grid import Fpu, NetworkSpec, base_injections, build_devices, build_network, droop_law
+from flexloop.grid import Fpu, NetworkSpec, base_injections, build_devices, build_network, droop_law, pq_positions
+from flexloop.harness import random_feeder
 from flexloop.plant import steady_state_response
+from flexloop.powerflow import PowerFlowSolution, solve_power_flow
 from flexloop.sensitivity import SensitivityError, compute_sensitivity, linearize
 
-from conftest import make_two_bus
-from oracles import zbus_power_flow
+from conftest import close_a_loop, make_depth_first_feeder, make_two_bus, random_injections
+from oracles import power_jacobian, zbus_power_flow
 
 import flexloop.grid as grid
 
@@ -114,3 +116,31 @@ def test_droop_aware_linearization_matches_plant_central_differences(
         plus, minus = respond(up), respond(um)
         np.testing.assert_allclose(dv[:, j], (plus.v_mag[1:] - minus.v_mag[1:]) / (2 * h), atol=1e-8)
         assert dpcc[j] == pytest.approx((plus.pcc_power_pu - minus.pcc_power_pu) / (2 * h), abs=1e-8)
+
+
+def test_linearize_matches_dense_solve(lab_net, lab_devices):
+    # the band LU's sensitivities equal a dense solve of the unpermuted
+    # Jacobian, on radial, meshed and depth-first-numbered feeders
+    net, devices = random_feeder(3)[:2]
+    cases = [(lab_net, lab_devices), (close_a_loop(net), devices), make_depth_first_feeder()]
+    cases += [random_feeder(s)[:2] for s in range(5)]
+    rng = np.random.default_rng(4)
+    for net, devices in cases:
+        inj = base_injections(net, devices) + random_injections(rng, net.n_buses - 1, 0.002)
+        sol = solve_power_flow(net, inj)
+        assert sol.converged
+        full = power_jacobian(net, sol.v_mag, sol.v_ang)
+        p = devices.n_setpoints
+        c = np.zeros((len(full) - 2, p))
+        c[pq_positions(net, devices.fpu_buses), np.arange(p)] = 1.0
+        dx = np.linalg.solve(full[:-2], c)
+        dv, dpcc = linearize(net, devices, sol)
+        for got, ref in ((dv, dx[net.n_buses - 1:]), (dpcc, full[-2] @ dx)):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_linearize_at_collapsed_state_raises(lab_net, lab_devices):
+    v_mag = np.concatenate([[1.0], np.zeros(lab_net.n_buses - 1)])
+    collapsed = PowerFlowSolution(v_mag, np.zeros(lab_net.n_buses), 0.0, 0.0, 0.0, False, 0, 1.0)
+    with pytest.raises(SensitivityError, match="singular Jacobian"):
+        linearize(lab_net, lab_devices, collapsed)
