@@ -250,7 +250,8 @@ def build_network(spec: NetworkSpec) -> NetworkModel:
 
     Raises a distinct :class:`NetworkValidationError` subclass for each
     structural defect: duplicate bus ids, missing or multiple slack buses,
-    zero-impedance branches and disconnected graphs.
+    zero-impedance branches and disconnected graphs. A network without a
+    PQ bus has nothing to control and is rejected too.
     """
     seen: set[int] = set()
     for b in spec.buses:
@@ -265,6 +266,8 @@ def build_network(spec: NetworkSpec) -> NetworkModel:
         ids = ", ".join(str(b.id) for b in slacks)
         raise MultipleSlackError(f"multiple slack buses: {ids}")
     slack = slacks[0]
+    if len(spec.buses) == 1:
+        raise NetworkValidationError(f"bus {slack.id} is the only bus; a network needs a PQ bus")
 
     ordered = (slack,) + tuple(
         sorted((b for b in spec.buses if b.kind == PQ), key=lambda b: b.id)

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .controller import (
     DEFAULT_BAND,
@@ -387,7 +386,11 @@ def reference_opf(
     tracking gain 1) at the exact response and a fresh analytic
     linearization there (the Jacobian of the one power flow that solves the
     grid and its legacy Q(V) droop together), restarted from random interior
-    points; the best feasible stationary point wins. Raises
+    points; the best feasible stationary point wins. Its certificate is one
+    more projection step posed at the returned point: ``stationarity`` is
+    that step's ``max |w|``, zero exactly at a KKT point of the linearized
+    problem (``inf`` if the step is not ``optimal``), and ``binding`` is its
+    active set without the tracking row. Raises
     :class:`InfeasibleRequestError` with the closest attainable PCC power
     and the binding limits when the request is out of reach.
     """
@@ -414,6 +417,12 @@ def reference_opf(
     def local_jacobian(sol):
         return linearize(net, devices, sol, droop)
 
+    def projection(u, v, pcc, pf):
+        y = Measurement.make(v, net.pq_ids, pcc, 0.0)
+        sens = SensitivityMatrix(*local_jacobian(pf))
+        qp = assemble_projection_qp(u, y, replace(cfg, sensitivity=sens))
+        return qp, solve_qp(qp)
+
     def descend(u_start):
         u = np.clip(u_start, lb, ub)
         pf = None
@@ -437,9 +446,7 @@ def reference_opf(
                 stall = 0
             best_gap = min(best_gap, gap)
             best_phi = min(best_phi, phi)
-            y = Measurement.make(v, net.pq_ids, pcc, 0.0)
-            sens = SensitivityMatrix(*local_jacobian(pf))
-            sol = solve_qp(assemble_projection_qp(u, y, replace(cfg, sensitivity=sens)))
+            _, sol = projection(u, v, pcc, pf)
             if sol.status != STATUS_OPTIMAL:
                 return None
             u_new = np.clip(u + OPF_STEP * sol.w, lb, ub)
@@ -448,9 +455,7 @@ def reference_opf(
             if converged:
                 break
         v, pcc, pf = respond(u, pf)
-        dv, dpcc = local_jacobian(pf)
-        stat, binding = _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max)
-        return u, float(np.sum(u * u)), pcc, stat, binding
+        return u, float(np.sum(u * u)), pcc, v, pf
 
     rng = np.random.default_rng(seed)
     span = np.where(np.isfinite(ub - lb), ub - lb, 2.0)
@@ -473,61 +478,45 @@ def reference_opf(
             respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p
         )
         raise InfeasibleRequestError(p_set_pu, closest, binding, net.s_base_va)
-    u, phi, pcc, stat, binding = best
-    return OpfResult(u=u, phi=phi, p_pcc_pu=pcc, stationarity=stat, binding=binding)
+    u, phi, pcc, v, pf = best
+    qp, sol = projection(u, v, pcc, pf)
+    stat = float(np.max(np.abs(sol.w))) if sol.status == STATUS_OPTIMAL else np.inf
+    return OpfResult(u=u, phi=phi, p_pcc_pu=pcc, stationarity=stat, binding=_limit_names(qp, sol))
 
 
-def _binding_limits(u, v, dv, lb, ub, v_min, v_max) -> list[tuple[str, np.ndarray]]:
-    """Limits binding at setpoints ``u`` and voltages ``v``, voltage rows
-    first, each with its cone column: the limit's outward normal in ``u``
-    (a voltage row's from the sensitivities ``dv``)."""
-    eye = np.eye(u.shape[0])
-    limits = []
-    for i in range(v.shape[0]):
-        if v[i] >= v_max[i] - 1e-6:
-            limits.append((f"v_max@row{i}", dv[i]))
-        if v[i] <= v_min[i] + 1e-6:
-            limits.append((f"v_min@row{i}", -dv[i]))
-    for j in range(u.shape[0]):
-        if u[j] >= ub[j] - 1e-9:
-            limits.append((f"u_max[{j}]", eye[j]))
-        if u[j] <= lb[j] + 1e-9:
-            limits.append((f"u_min[{j}]", -eye[j]))
-    return limits
-
-
-def _stationarity(u, v, pcc, dv, dpcc, lb, ub, v_min, v_max):
-    """Projected-gradient stationarity: distance of -grad to the active cone."""
-    limits = _binding_limits(u, v, dv, lb, ub, v_min, v_max)
-    N = np.column_stack([dpcc, -dpcc] + [col for _, col in limits])  # equality, free sign
-    coef, _ = nnls(N, -2.0 * u)
-    resid = 2.0 * u + N @ coef
-    return float(np.max(np.abs(resid))), tuple(label for label, _ in limits)
+def _limit_names(qp, sol) -> tuple[str, ...]:
+    """The QP's active set without its equality (tracking) rows, spelled as
+    limits: ``in[i]:hi`` is ``v_max@row{i}``, ``box[j]:lo`` is ``u_min[{j}]``."""
+    labels = qp.row_labels()
+    names = []
+    for r in sol.active_set:
+        row, _, side = labels[r].partition(":")
+        if side:
+            kind, index = row[:-1].split("[")
+            bound = "min" if side == "lo" else "max"
+            names.append(f"v_{bound}@row{index}" if kind == "in" else f"u_{bound}[{index}]")
+    return tuple(names)
 
 
 def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p):
     """Best-effort tracking point used in infeasibility reports: Gauss-Newton
-    steps on the PCC gap, keeping the closest iterate and stopping at the
-    first step that does not bring the PCC power closer."""
+    steps on the PCC gap, stopping at the first step that does not bring the
+    PCC power closer. Returns the closest iterate's PCC power and the
+    :func:`_limit_names` of the QP posed there."""
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
     u = np.clip(np.zeros(p), lb, ub)
     pf = None
     u_lin = None
-    dv = dpcc = None
     best = None
     for _ in range(150):
         v, pcc, pf = respond(u, pf)
         gap = pcc - p_set_pu
-        if best is not None and abs(gap) >= abs(best[2] - p_set_pu):
+        if best is not None and abs(gap) >= abs(best[0] - p_set_pu):
             break
-        best = (u, v, pcc)
-        # before the exact-hit exit: the binding report reads the voltage rows
         if u_lin is None or np.max(np.abs(u - u_lin)) > 0.02:
             dv, dpcc = local_jacobian(pf)
             u_lin = u.copy()
-        if abs(gap) < 1e-9:
-            break
         scale = max(float(dpcc @ dpcc), 1e-12)
         qp = QpProblem(
             g=dpcc * gap / scale,
@@ -539,14 +528,15 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
             ub_box=ub - u,
         )
         sol = solve_qp(qp)
-        if sol.status != STATUS_OPTIMAL:
+        # before the exact-hit exit: every iterate reports its active set
+        best = (pcc, _limit_names(qp, sol))
+        if abs(gap) < 1e-9 or sol.status != STATUS_OPTIMAL:
             break
         u_new = np.clip(u + sol.w, lb, ub)
         if np.max(np.abs(u_new - u)) < 1e-11:
             break
         u = u_new
-    u, v, pcc = best
-    return pcc, tuple(label for label, _ in _binding_limits(u, v, dv, lb, ub, v_min, v_max))
+    return best
 
 
 # --- seeded feeder generator -------------------------------------------------

@@ -123,12 +123,6 @@ def _band_solve(net: NetworkModel, band: np.ndarray, rhs: np.ndarray) -> np.ndar
     return x[inv]
 
 
-def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
-    """Active/reactive injections implied by a voltage state, per-unit."""
-    r1, r2 = _evaluate(net, v_mag, v_ang)[2:]
-    return v_mag * r1, v_mag * r2
-
-
 def solve_power_flow(
     net: NetworkModel,
     injections_pu: np.ndarray,

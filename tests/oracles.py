@@ -7,9 +7,13 @@ from the dense complex admittance product rather than the per-nonzero
 kernels, losses are summed branch by branch, the legacy droop's steady
 state is a Picard iteration over plain power flows rather than one Newton
 solve with the droop in its mismatch, and the QP oracle enumerates active
-sets by brute force. The dense Jacobian is the exception: it is unpacked
-from the band the power flow factors, so that finite differences and dense
-solves check the production assembly and its band layout.
+sets by brute force. The oracle's certificate is checked against a cone
+distance: the limits binding by a tolerance scan, and a nonnegative least
+squares over their normals. Two helpers are the exception and unpack production
+kernels on purpose: :func:`bus_powers` reads the per-nonzero row sums of
+the power flow's evaluation, and :func:`power_jacobian` unpacks the dense
+Jacobian from the band the power flow factors, so that finite differences
+and dense solves check the production kernels and the band layout.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import nnls
 
 from flexloop.grid import DeviceSet, DroopInverter, NetworkModel, add_setpoint_injections, base_injections
 from flexloop.powerflow import PowerFlowSolution, _evaluate, _jacobian, solve_power_flow
@@ -83,6 +88,13 @@ def dense_bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
     volts = v_mag * np.exp(1j * v_ang)
     s = volts * np.conj(net.ybus @ volts)
     return s.real, s.imag
+
+
+def bus_powers(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray):
+    """Active/reactive injections implied by a voltage state, per-unit, from
+    the power flow's per-nonzero evaluation."""
+    r1, r2 = _evaluate(net, v_mag, v_ang)[2:]
+    return v_mag * r1, v_mag * r2
 
 
 def power_jacobian(net: NetworkModel, v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
@@ -253,3 +265,33 @@ def picard_droop_response(
             return sol, q_new
         q = q_new
     return None
+
+
+def binding_limits(u, v, dv, lb, ub, v_min, v_max) -> list[tuple[str, np.ndarray]]:
+    """Limits binding at setpoints ``u`` and voltages ``v``, voltage rows
+    first, each with its cone column: the limit's outward normal in ``u``
+    (a voltage row's from the sensitivities ``dv``)."""
+    eye = np.eye(u.shape[0])
+    limits = []
+    for i in range(v.shape[0]):
+        if v[i] >= v_max[i] - 1e-6:
+            limits.append((f"v_max@row{i}", dv[i]))
+        if v[i] <= v_min[i] + 1e-6:
+            limits.append((f"v_min@row{i}", -dv[i]))
+    for j in range(u.shape[0]):
+        if u[j] >= ub[j] - 1e-9:
+            limits.append((f"u_max[{j}]", eye[j]))
+        if u[j] <= lb[j] + 1e-9:
+            limits.append((f"u_min[{j}]", -eye[j]))
+    return limits
+
+
+def cone_stationarity(u, v, dv, dpcc, lb, ub, v_min, v_max):
+    """Projected-gradient stationarity of min ``|u|^2``: the distance of
+    ``-2 u`` to the cone of the PCC row (either sign) and the
+    :func:`binding_limits`' normals, with those limits' labels."""
+    limits = binding_limits(u, v, dv, lb, ub, v_min, v_max)
+    N = np.column_stack([dpcc, -dpcc] + [col for _, col in limits])  # equality, free sign
+    coef, _ = nnls(N, -2.0 * u)
+    resid = 2.0 * u + N @ coef
+    return float(np.max(np.abs(resid))), tuple(label for label, _ in limits)

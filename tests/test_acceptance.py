@@ -21,12 +21,12 @@ from flexloop.harness import (
     trailing_violation_counts,
 )
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
-from flexloop.powerflow import bus_powers, solve_power_flow
+from flexloop.powerflow import solve_power_flow
 from flexloop.qp import solve_qp
 from flexloop.sensitivity import compute_sensitivity
 
 from conftest import make_two_bus, record_acceptance
-from oracles import enumerate_qp, newton_jacobian, two_bus_voltage
+from oracles import bus_powers, enumerate_qp, newton_jacobian, two_bus_voltage
 from test_qp import _random_problem
 
 

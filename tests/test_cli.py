@@ -45,27 +45,36 @@ def test_run_empty_scenario_zero_error(tmp_path, capsys):
         assert abs(float(cells[i_pcc]) - float(cells[i_set])) < 1.5  # idle import only
 
 
-def oracle_gap(tmp_path, capsys, scenario):
+ORACLE_FIELDS = ("phi_closed_loop", "phi_oracle", "relative_gap", "oracle_stationarity", "oracle_binding")
+
+
+def oracle_fields(tmp_path, capsys, scenario):
+    """Every line of ``oracle.txt`` as a name -> value dict, in file order."""
     code, out, err = run_cli(
         capsys, "--mode", "compare-oracle", "--scenario", scenario,
         "--out", str(tmp_path),
     )
     assert code == 0
     text = (tmp_path / "oracle.txt").read_text()
-    fields = dict(
-        line.split(": ", 1) for line in text.strip().split("\n") if ": " in line
-    )
-    return float(fields["relative_gap"])
+    fields = dict(line.split(": ", 1) for line in text.strip().split("\n"))
+    assert tuple(fields) == ORACLE_FIELDS
+    return fields
 
 
 def test_compare_oracle_writes_gap(tmp_path, capsys):
-    assert abs(oracle_gap(tmp_path, capsys, "exp_a_14p5kw")) < 0.01
+    fields = oracle_fields(tmp_path, capsys, "exp_a_14p5kw")
+    assert abs(float(fields["relative_gap"])) < 0.01
+    assert float(fields["oracle_stationarity"]) < 1e-7
+    assert fields["oracle_binding"] == "v_max@row3"
 
 
 def test_compare_oracle_sees_end_of_scenario_disturbances(tmp_path, capsys):
     # exp_b ends with a 14 kW EV charging; an oracle that solved the grid
     # without it would report a relative gap of about 30
-    assert abs(oracle_gap(tmp_path, capsys, "exp_b_ev_disturbance")) < 0.01
+    fields = oracle_fields(tmp_path, capsys, "exp_b_ev_disturbance")
+    assert abs(float(fields["relative_gap"])) < 0.01
+    assert float(fields["oracle_stationarity"]) < 1e-7
+    assert fields["oracle_binding"] == "none"
 
 
 def test_sweep_alpha_settling_non_increasing_until_unstable(tmp_path, capsys):
@@ -100,6 +109,19 @@ def test_parse_error_names_file_and_line(tmp_path, capsys):
     assert code == 1
     assert "bad.net:3" in err
     assert err.count("\n") == 1
+
+
+def test_network_without_pq_bus_is_input_error(tmp_path, capsys):
+    net = tmp_path / "one.net"
+    net.write_text("format: 1\ns_base_kva: 100\n\n[buses]\n1 400 slack\n\n[branches]\n\n[devices]\n")
+    scn = tmp_path / "idle.scn"
+    scn.write_text("format: 1\nname: idle\nduration_s: 50\n\n[events]\n")
+    code, out, err = run_cli(
+        capsys, "--network", str(net), "--scenario", str(scn), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "needs a PQ bus" in err
 
 
 def test_bad_argument_is_input_error(tmp_path, capsys):

@@ -53,6 +53,12 @@ def test_missing_slack_rejected():
         build_network(spec)
 
 
+def test_slack_only_network_rejected():
+    spec = spec_2bus(buses=(Bus(1, 400.0, "slack"),), branches=())
+    with pytest.raises(NetworkValidationError, match="needs a PQ bus"):
+        build_network(spec)
+
+
 def test_duplicate_bus_rejected():
     spec = spec_2bus(buses=(Bus(1, 400.0, "slack"), Bus(1, 400.0, "pq")))
     with pytest.raises(DuplicateBusError):

@@ -16,6 +16,8 @@ from flexloop.harness import (
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.sensitivity import compute_sensitivity
 
+from oracles import cone_stationarity
+
 
 def _scenario(events, duration=200.0, name="test"):
     return Scenario(name, duration, tuple(events))
@@ -117,7 +119,6 @@ def test_converged_loop_satisfies_plant_kkt(lab_net, lab_devices, exp_a):
     # KKT conditions with the primal side (voltages, PCC power, active set)
     # taken from the true plant; feasibility against the real system is
     # what the measurement feedback buys
-    from flexloop.harness import _stationarity
     from flexloop.plant import steady_state_response
 
     cfg = ControllerConfig.for_network(lab_net, lab_devices)
@@ -136,7 +137,7 @@ def test_converged_loop_satisfies_plant_kkt(lab_net, lab_devices, exp_a):
 
     # stationarity with the constraint geometry the problem was posed with
     sens = compute_sensitivity(lab_net, lab_devices, np.zeros(4))
-    stat, binding = _stationarity(u, v, pcc, sens.dv, sens.dpcc, lb, ub, log.v_min, log.v_max)
+    stat, binding = cone_stationarity(u, v, sens.dv, sens.dpcc, lb, ub, log.v_min, log.v_max)
     assert stat < 1e-4
     assert binding  # the band genuinely shapes this operating point
 
@@ -269,6 +270,19 @@ def test_opf_matches_closed_loop_on_exp_a(lab_net, lab_devices, exp_a):
     assert res.stationarity < 1e-7
     assert abs(phi_loop - res.phi) / res.phi < 0.01
 
+    # the final projection step's certificate agrees with the cone distance
+    # over the limits a tolerance scan finds binding at the returned point
+    from flexloop.grid import droop_law
+    from flexloop.plant import steady_state_response
+    from flexloop.sensitivity import linearize
+
+    sol, _, _ = steady_state_response(lab_net, lab_devices, res.u, slack_v=1.048)
+    dv, dpcc = linearize(lab_net, lab_devices, sol, droop_law(lab_net, lab_devices))
+    lb, ub = lab_devices.setpoint_bounds_pu(lab_net.s_base_va)
+    stat, binding = cone_stationarity(res.u, sol.v_mag[1:], dv, dpcc, lb, ub, cfg.v_min, cfg.v_max)
+    assert res.binding == binding == ("v_max@row3",)
+    assert stat < 1e-7
+
 
 def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     with pytest.raises(InfeasibleRequestError) as exc:
@@ -276,9 +290,10 @@ def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     err = exc.value
     # both P caps bind; the closest attainable exchange is the full export
     # (30 kW of capability less the local load and losses)
-    assert any(b.startswith("u_max") for b in err.binding)
+    assert err.binding == ("u_max[0]", "u_max[2]")
     assert err.closest_pu == pytest.approx(-0.287, abs=0.01)
     assert "unreachable" in str(err)
+    assert "closest attainable -28.722 kW" in str(err)
 
 
 def test_closest_attainable_keeps_its_closest_iterate(lab_net, lab_devices, monkeypatch):

@@ -4,11 +4,12 @@ import pytest
 import flexloop.powerflow
 from flexloop.grid import Branch, Bus, DroopLaw, NetworkSpec, base_injections, build_network, droop_law
 from flexloop.harness import random_feeder
-from flexloop.powerflow import SingularJacobianError, _band_solve, _evaluate, _jacobian, bus_powers, solve_power_flow
+from flexloop.powerflow import SingularJacobianError, _band_solve, _evaluate, _jacobian, solve_power_flow
 
 from conftest import close_a_loop, make_depth_first_feeder, make_hair_thin_ramp
 from oracles import (
     branch_losses_w,
+    bus_powers,
     dense_bus_powers,
     kirchhoff_residual_pu,
     newton_jacobian,
