@@ -83,7 +83,6 @@ class ControllerConfig:
     u_max: np.ndarray
     s_base_va: float
     sensitivity: SensitivityMatrix | None = None
-    max_step_pu: float | None = None
     # Fraction of the measured gap the sensitivity-based rows (PCC tracking
     # and voltage band) close per step. 1.0 is a one-step (deadbeat)
     # correction; values below 1 damp the loop so it stays contractive
@@ -98,12 +97,12 @@ class ControllerConfig:
             raise ValueError(f"step size alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.rho < np.inf:
             raise ValueError(f"soft-equality weight rho must be positive and finite, got {self.rho}")
+        if not -np.inf < self.p_set_pu < np.inf:
+            raise ValueError(f"PCC power request must be finite, got {self.p_set_pu}")
         if not (np.all(np.isfinite(self.v_min)) and np.all(np.isfinite(self.v_max))):
             raise ValueError("voltage band limits must be finite")
         if np.any(self.v_min >= self.v_max):
             raise ValueError("voltage band is empty at some bus")
-        if self.max_step_pu is not None and not 0.0 < self.max_step_pu < np.inf:
-            raise ValueError(f"per-step limit must be positive and finite, got {self.max_step_pu}")
         if not 0.0 < self.tracking_gain <= 1.0:
             raise ValueError("tracking gain must be in (0, 1]")
         # every shape the projection QP combines, so a mismatch cannot raise
@@ -125,7 +124,6 @@ class ControllerConfig:
         p_set_kw: float = 0.0,
         band: float = DEFAULT_BAND,
         sensitivity: SensitivityMatrix | None = None,
-        max_step_pu: float | None = None,
         tracking_gain: float = DEFAULT_TRACKING_GAIN,
     ) -> "ControllerConfig":
         monitored = net.pq_ids
@@ -141,7 +139,6 @@ class ControllerConfig:
             u_max=u_max,
             s_base_va=net.s_base_va,
             sensitivity=sensitivity,
-            max_step_pu=max_step_pu,
             tracking_gain=tracking_gain,
         )
 
@@ -179,12 +176,6 @@ def assemble_projection_qp(
     if y.bus_ids != cfg.monitored or y.v.shape != (len(y.bus_ids),):
         raise InvalidMeasurementError("measurement buses or voltages do not match the monitored set")
 
-    lb_box = cfg.u_min - u
-    ub_box = cfg.u_max - u
-    if cfg.max_step_pu is not None:
-        lb_box = np.maximum(lb_box, -cfg.max_step_pu)
-        ub_box = np.minimum(ub_box, cfg.max_step_pu)
-
     kappa = cfg.tracking_gain
     return QpProblem(
         g=objective_gradient(u),
@@ -196,8 +187,8 @@ def assemble_projection_qp(
         a_in=sens.dv,
         lb_in=kappa * (cfg.v_min - y.v),
         ub_in=kappa * (cfg.v_max - y.v),
-        lb_box=lb_box,
-        ub_box=ub_box,
+        lb_box=cfg.u_min - u,
+        ub_box=cfg.u_max - u,
     )
 
 

@@ -2,9 +2,18 @@
 
 Both formats are line-oriented, versioned with a ``format: 1`` header and
 carry user-facing units only (kW, kvar, V, seconds); per-unit never appears
-in files. Parsing is strict: the first offending line is reported with its
-line number. Serialization is canonical, so ``serialize(parse(text))``
-reproduces a canonically formatted file byte for byte.
+in files. Every number must be finite. Parsing is strict: the first
+offending line is reported with its line number. Serialization is
+canonical, so ``serialize(parse(text))`` reproduces a canonically formatted
+file byte for byte.
+
+One reader, :func:`_records`, serves both formats: it checks the
+``format: 1`` header, the ``key: value`` headers before the first section
+and the section names, and yields the section rows. Each device kind is
+described once, in ``_DEVICES``: its class and its required and optional
+columns, each a file key, a dataclass field and a unit scale. Parsing reads
+that table for key checks, unit conversion and construction, and
+serialization writes every column in table order.
 
 Network file::
 
@@ -36,6 +45,7 @@ Scenario file::
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .grid import Branch, Bus, DroopInverter, EvCharger, Fpu, Load, NetworkSpec
@@ -60,18 +70,52 @@ def _fmt(value: float) -> str:
     return repr(f)
 
 
-def _lines(text: str):
+def _records(text: str, path: str, headers: tuple[str, ...], sections: tuple[str, ...]):
+    """``(line, None, (key, value))`` for each of ``headers`` before the
+    first section, then ``(line, section, tokens)`` for each section row.
+
+    Comments and blank lines are skipped and ``format`` is checked here.
+    Errors are raised as the offending line is reached, so a caller's own
+    row errors keep their order; a missing ``format`` header is reported
+    once every line has been read.
+    """
+    section = None
+    saw_format = False
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            if section not in sections:
+                raise ParseError(path, no, f"unknown section [{section}]")
+        elif section is not None:
+            yield no, section, line.split()
+        else:
+            key, sep, value = line.partition(":")
+            key, value = key.strip(), value.strip()
+            if not sep or not value:
+                raise ParseError(path, no, f"expected 'key: value' header, got {line!r}")
+            if key == "format":
+                if _parse_int(value, path, no, "format") != FORMAT_VERSION:
+                    raise ParseError(path, no, f"unsupported format version {value}")
+                saw_format = True
+            elif key in headers:
+                yield no, None, (key, value)
+            else:
+                raise ParseError(path, no, f"unknown header key {key!r}")
+    if not saw_format:
+        raise ParseError(path, 1, "missing 'format: 1' header")
 
 
 def _parse_float(token: str, path: str, no: int, field: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ParseError(path, no, f"bad number {token!r} for field {field}") from None
+        value = math.nan
+    if not -math.inf < value < math.inf:  # unparsable, nan or infinite
+        raise ParseError(path, no, f"bad number {token!r} for field {field}")
+    return value
 
 
 def _parse_int(token: str, path: str, no: int, field: str) -> int:
@@ -81,21 +125,22 @@ def _parse_int(token: str, path: str, no: int, field: str) -> int:
         raise ParseError(path, no, f"bad integer {token!r} for field {field}") from None
 
 
-def _parse_kv(tokens, path, no, field="payload", keys=None) -> dict[str, float]:
-    """``key=value`` tokens as numbers. With ``keys = (required, optional)``
-    an unknown key, then a missing one, is reported before a bad number."""
+def _parse_kv(tokens, path, no, field="payload", columns=None) -> dict[str, float]:
+    """``key=value`` tokens as numbers. With ``columns = (required,
+    optional)`` an unknown key, then a missing one, is reported before a
+    bad number."""
     raw: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
             raise ParseError(path, no, f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
         raw[key] = val
-    if keys is not None:
-        required, optional = keys
-        unknown = set(raw) - set(required) - set(optional)
+    if columns is not None:
+        required, optional = ({c[0] for c in cols} for cols in columns)
+        unknown = set(raw) - required - optional
         if unknown:
             raise ParseError(path, no, f"unknown key {sorted(unknown)[0]!r} for {field}")
-        missing = set(required) - set(raw)
+        missing = required - set(raw)
         if missing:
             raise ParseError(path, no, f"missing key {sorted(missing)[0]!r} for {field}")
     return {k: _parse_float(v, path, no, f"{field}.{k}") for k, v in raw.items()}
@@ -103,15 +148,22 @@ def _parse_kv(tokens, path, no, field="payload", keys=None) -> dict[str, float]:
 
 # --- network ---------------------------------------------------------------
 
-_DEVICE_KEYS = {
-    "fpu": (("p_min_kw", "p_max_kw", "q_min_kvar", "q_max_kvar"), ()),
+# kind -> (class, required columns, optional columns). A column is (file key,
+# dataclass field, unit scale): the file carries field / scale, and an absent
+# optional key takes the dataclass default. The order is the canonical one.
+_KW = 1e3
+_DEVICES = {
+    "fpu": (Fpu, (("p_min_kw", "p_min_w", _KW), ("p_max_kw", "p_max_w", _KW),
+                  ("q_min_kvar", "q_min_var", _KW), ("q_max_kvar", "q_max_var", _KW)), ()),
     "droop": (
-        ("p_kw", "q_max_kvar"),
-        ("v_db_lo", "v_db_hi", "v_lo", "v_hi"),
+        DroopInverter,
+        (("p_kw", "p_fixed_w", _KW), ("q_max_kvar", "q_max_var", _KW)),
+        tuple((knee, knee, 1.0) for knee in ("v_db_lo", "v_db_hi", "v_lo", "v_hi")),
     ),
-    "load": (("p_kw",), ("q_kvar",)),
-    "ev": (("max_kw",), ()),
+    "load": (Load, (("p_kw", "p_w", _KW),), (("q_kvar", "q_var", _KW),)),
+    "ev": (EvCharger, (("max_kw", "max_charge_w", _KW),), ()),
 }
+_KIND = {cls: kind for kind, (cls, _, _) in _DEVICES.items()}
 
 
 def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
@@ -119,90 +171,36 @@ def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
     branches: list[Branch] = []
     devices: list = []
     s_base_kva = 100.0
-    section = None
-    saw_format = False
 
-    for no, line in _lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section not in ("buses", "branches", "devices"):
-                raise ParseError(path, no, f"unknown section [{section}]")
-            continue
+    for no, section, tokens in _records(text, path, ("s_base_kva",), ("buses", "branches", "devices")):
         if section is None:
-            key, sep, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if not sep or not value:
-                raise ParseError(path, no, f"expected 'key: value' header, got {line!r}")
-            if key == "format":
-                if _parse_int(value, path, no, "format") != FORMAT_VERSION:
-                    raise ParseError(path, no, f"unsupported format version {value}")
-                saw_format = True
-            elif key == "s_base_kva":
-                s_base_kva = _parse_float(value, path, no, "s_base_kva")
-            else:
-                raise ParseError(path, no, f"unknown header key {key!r}")
-            continue
-
-        tokens = line.split()
-        if section == "buses":
+            s_base_kva = _parse_float(tokens[1], path, no, "s_base_kva")
+        elif section == "buses":
             if len(tokens) != 3:
                 raise ParseError(path, no, "bus row needs: id v_nominal_v kind")
             kind = tokens[2]
             if kind not in ("slack", "pq"):
                 raise ParseError(path, no, f"unknown bus kind {kind!r}")
-            buses.append(
-                Bus(
-                    id=_parse_int(tokens[0], path, no, "id"),
-                    v_nominal=_parse_float(tokens[1], path, no, "v_nominal_v"),
-                    kind=kind,
-                )
-            )
+            bus_id = _parse_int(tokens[0], path, no, "id")
+            buses.append(Bus(bus_id, _parse_float(tokens[1], path, no, "v_nominal_v"), kind))
         elif section == "branches":
             if len(tokens) != 4:
                 raise ParseError(path, no, "branch row needs: from to r_ohm x_ohm")
-            branches.append(
-                Branch(
-                    from_bus=_parse_int(tokens[0], path, no, "from"),
-                    to_bus=_parse_int(tokens[1], path, no, "to"),
-                    r_ohm=_parse_float(tokens[2], path, no, "r_ohm"),
-                    x_ohm=_parse_float(tokens[3], path, no, "x_ohm"),
-                )
-            )
-        elif section == "devices":
+            branches.append(Branch(
+                _parse_int(tokens[0], path, no, "from"), _parse_int(tokens[1], path, no, "to"),
+                _parse_float(tokens[2], path, no, "r_ohm"), _parse_float(tokens[3], path, no, "x_ohm"),
+            ))
+        else:
             if len(tokens) < 2:
                 raise ParseError(path, no, "device row needs: kind bus key=value...")
             kind = tokens[0]
-            if kind not in _DEVICE_KEYS:
+            if kind not in _DEVICES:
                 raise ParseError(path, no, f"unknown device kind {kind!r}")
             bus = _parse_int(tokens[1], path, no, "bus")
-            kv = _parse_kv(tokens[2:], path, no, kind, _DEVICE_KEYS[kind])
-            if kind == "fpu":
-                devices.append(
-                    Fpu(
-                        bus=bus,
-                        p_min_w=kv["p_min_kw"] * 1e3,
-                        p_max_w=kv["p_max_kw"] * 1e3,
-                        q_min_var=kv["q_min_kvar"] * 1e3,
-                        q_max_var=kv["q_max_kvar"] * 1e3,
-                    )
-                )
-            elif kind == "droop":
-                knees = _DEVICE_KEYS[kind][1]
-                devices.append(
-                    DroopInverter(
-                        bus=bus,
-                        p_fixed_w=kv["p_kw"] * 1e3,
-                        q_max_var=kv["q_max_kvar"] * 1e3,
-                        **{k: kv[k] for k in knees if k in kv},  # absent knees: the defaults
-                    )
-                )
-            elif kind == "load":
-                devices.append(Load(bus=bus, p_w=kv["p_kw"] * 1e3, q_var=kv.get("q_kvar", 0.0) * 1e3))
-            else:
-                devices.append(EvCharger(bus=bus, max_charge_w=kv["max_kw"] * 1e3))
+            cls, required, optional = _DEVICES[kind]
+            kv = _parse_kv(tokens[2:], path, no, kind, (required, optional))
+            devices.append(cls(bus=bus, **{f: kv[k] * s for k, f, s in required + optional if k in kv}))
 
-    if not saw_format:
-        raise ParseError(path, 1, "missing 'format: 1' header")
     if not buses:
         raise ParseError(path, 1, "no [buses] section or it is empty")
     return NetworkSpec(
@@ -220,37 +218,16 @@ def parse_network_file(path: str | Path) -> NetworkSpec:
 
 def serialize_network(spec: NetworkSpec) -> str:
     out = [f"format: {FORMAT_VERSION}", f"s_base_kva: {_fmt(spec.s_base_va / 1e3)}", ""]
-    out.append("[buses]")
-    out.append("# id v_nominal_v kind")
-    for b in spec.buses:
-        out.append(f"{b.id} {_fmt(b.v_nominal)} {b.kind}")
-    out.append("")
-    out.append("[branches]")
-    out.append("# from to r_ohm x_ohm")
-    for br in spec.branches:
-        out.append(f"{br.from_bus} {br.to_bus} {_fmt(br.r_ohm)} {_fmt(br.x_ohm)}")
-    out.append("")
-    out.append("[devices]")
-    out.append("# kind bus key=value...")
+    out += ["[buses]", "# id v_nominal_v kind"]
+    out += [f"{b.id} {_fmt(b.v_nominal)} {b.kind}" for b in spec.buses]
+    out += ["", "[branches]", "# from to r_ohm x_ohm"]
+    out += [f"{br.from_bus} {br.to_bus} {_fmt(br.r_ohm)} {_fmt(br.x_ohm)}" for br in spec.branches]
+    out += ["", "[devices]", "# kind bus key=value..."]
     for dev in spec.devices:
-        if isinstance(dev, Fpu):
-            out.append(
-                f"fpu {dev.bus} p_min_kw={_fmt(dev.p_min_w / 1e3)}"
-                f" p_max_kw={_fmt(dev.p_max_w / 1e3)}"
-                f" q_min_kvar={_fmt(dev.q_min_var / 1e3)}"
-                f" q_max_kvar={_fmt(dev.q_max_var / 1e3)}"
-            )
-        elif isinstance(dev, DroopInverter):
-            out.append(
-                f"droop {dev.bus} p_kw={_fmt(dev.p_fixed_w / 1e3)}"
-                f" q_max_kvar={_fmt(dev.q_max_var / 1e3)}"
-                f" v_db_lo={_fmt(dev.v_db_lo)} v_db_hi={_fmt(dev.v_db_hi)}"
-                f" v_lo={_fmt(dev.v_lo)} v_hi={_fmt(dev.v_hi)}"
-            )
-        elif isinstance(dev, Load):
-            out.append(f"load {dev.bus} p_kw={_fmt(dev.p_w / 1e3)} q_kvar={_fmt(dev.q_var / 1e3)}")
-        elif isinstance(dev, EvCharger):
-            out.append(f"ev {dev.bus} max_kw={_fmt(dev.max_charge_w / 1e3)}")
+        kind = _KIND[type(dev)]
+        _, required, optional = _DEVICES[kind]
+        kv = " ".join(f"{k}={_fmt(getattr(dev, f) / s)}" for k, f, s in required + optional)
+        out.append(f"{kind} {dev.bus} {kv}")
     out.append("")
     return "\n".join(out)
 
@@ -259,36 +236,14 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
-    name = None
-    duration = None
+    header: dict[str, str] = {}
     events: list[ScenarioEvent] = []
-    section = None
-    saw_format = False
 
-    for no, line in _lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section != "events":
-                raise ParseError(path, no, f"unknown section [{section}]")
-            continue
+    for no, section, tokens in _records(text, path, ("name", "duration_s"), ("events",)):
         if section is None:
-            key, sep, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if not sep or not value:
-                raise ParseError(path, no, f"expected 'key: value' header, got {line!r}")
-            if key == "format":
-                if _parse_int(value, path, no, "format") != FORMAT_VERSION:
-                    raise ParseError(path, no, f"unsupported format version {value}")
-                saw_format = True
-            elif key == "name":
-                name = value
-            elif key == "duration_s":
-                duration = _parse_float(value, path, no, "duration_s")
-            else:
-                raise ParseError(path, no, f"unknown header key {key!r}")
+            key, value = tokens
+            header[key] = value if key == "name" else _parse_float(value, path, no, key)
             continue
-
-        tokens = line.split()
         if len(tokens) < 2:
             raise ParseError(path, no, "event row needs: time_s kind key=value...")
         time_s = _parse_float(tokens[0], path, no, "time_s")
@@ -299,14 +254,11 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
         except ScenarioError as exc:
             raise ParseError(path, no, str(exc)) from None
 
-    if not saw_format:
-        raise ParseError(path, 1, "missing 'format: 1' header")
-    if name is None:
-        raise ParseError(path, 1, "missing 'name:' header")
-    if duration is None:
-        raise ParseError(path, 1, "missing 'duration_s:' header")
+    for key in ("name", "duration_s"):
+        if key not in header:
+            raise ParseError(path, 1, f"missing '{key}:' header")
     try:
-        return Scenario(name=name, duration_s=duration, events=tuple(events))
+        return Scenario(name=header["name"], duration_s=header["duration_s"], events=tuple(events))
     except ScenarioError as exc:
         raise ParseError(path, 1, str(exc)) from None
 

@@ -201,13 +201,28 @@ class NetworkModel:
         return row, col, y.real.copy(), y.imag.copy()
 
     @cached_property
+    def bfs_order(self) -> np.ndarray:
+        """Indices of the buses reachable from the slack over
+        :attr:`ybus_nonzeros`, breadth-first from the slack (index 0)."""
+        i, k = self.ybus_nonzeros[:2]
+        n = self.n_buses
+        start, cols = np.searchsorted(i, np.arange(n + 1)).tolist(), k.tolist()
+        order, seen = [0], [True] + [False] * (n - 1)
+        for b in order:
+            for c in cols[start[b]:start[b + 1]]:
+                if not seen[c]:
+                    seen[c] = True
+                    order.append(c)
+        return np.array(order)
+
+    @cached_property
     def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
         """Where :attr:`ybus_nonzeros` land in the banded power-flow Jacobian
         (``powerflow._jacobian``): ``(diag, pq, flat, kl, perm, inv)``.
 
         The unknowns ``[theta_pq; V_pq]`` and the mismatch rows ``[P_pq;
         Q_pq]`` are permuted by ``perm`` (``inv`` undoes it): the PQ buses in
-        breadth-first order from the slack, each bus's (theta, V) columns and
+        :attr:`bfs_order`, each bus's (theta, V) columns and
         (P, Q) rows adjacent. A radial feeder's Jacobian is then a band of
         ``kl`` sub- and superdiagonals, stored LAPACK-style in an
         ``(m, 3 kl + 1)`` array: entry (r, c) at ``[c, 2 kl + r - c]``, so its
@@ -220,17 +235,10 @@ class NetworkModel:
         i, k = self.ybus_nonzeros[:2]
         n = self.n_buses
         m = 2 * n - 2
-        start, cols = np.searchsorted(i, np.arange(n + 1)).tolist(), k.tolist()
-        order, seen = [0], [True] + [False] * (n - 1)
-        for b in order:
-            for c in cols[start[b]:start[b + 1]]:
-                if not seen[c]:
-                    seen[c] = True
-                    order.append(c)
         # bus b > 0 owns band rows pos[b] (P) and pos[b] + 1 (Q), and band
         # columns pos[b] (angle) and pos[b] + 1 (magnitude)
         pos = np.empty(n, dtype=int)
-        pos[order] = np.arange(-2, m, 2)
+        pos[self.bfs_order] = np.arange(-2, m, 2)
         inv = np.concatenate([pos[1:], pos[1:] + 1])
         perm = np.argsort(inv)
         pq = k > 0
@@ -292,38 +300,22 @@ def build_network(spec: NetworkSpec) -> NetworkModel:
                 "transformers are not modeled"
             )
 
-    _check_connected(spec)
-
     if spec.s_base_va <= 0:
         raise NetworkValidationError("base power must be positive")
 
-    return NetworkModel(
+    net = NetworkModel(
         buses=ordered,
         branches=tuple(spec.branches),
         pcc_bus=slack.id,
         s_base_va=spec.s_base_va,
     )
-
-
-def _check_connected(spec: NetworkSpec) -> None:
-    if len(spec.buses) <= 1:
-        return
-    adj: dict[int, list[int]] = {b.id: [] for b in spec.buses}
-    for br in spec.branches:
-        adj[br.from_bus].append(br.to_bus)
-        adj[br.to_bus].append(br.from_bus)
-    start = spec.buses[0].id
-    stack = [start]
-    visited = {start}
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if nb not in visited:
-                visited.add(nb)
-                stack.append(nb)
-    missing = sorted(set(adj) - visited)
+    # reachable over the admittance nonzeros: parallel branches whose
+    # admittances cancel connect nothing
+    reached = set(net.bfs_order.tolist())
+    missing = [b.id for j, b in enumerate(ordered) if j not in reached]
     if missing:
         raise DisconnectedGraphError(f"buses unreachable from slack side: {missing}")
+    return net
 
 
 @dataclass(frozen=True)

@@ -168,17 +168,14 @@ def run_closed_loop(
     scenario: Scenario,
     ctrl_cfg: ControllerConfig,
     plant_cfg: PlantConfig,
-    *,
-    u0: np.ndarray | None = None,
 ) -> TelemetryLog:
     """Run the feedback loop over one scenario.
 
-    The sensitivity map is computed at the initial setpoints unless the
-    config already carries one. Controller alarms are logged and the run
+    The loop starts from zero setpoints, where the sensitivity map is
+    computed unless the config already carries one. Controller alarms are logged and the run
     continues; a diverging plant truncates the log with an abort reason.
     """
-    p = devices.n_setpoints
-    u = np.zeros(p) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros(devices.n_setpoints)
     validate_scenario(scenario, net, devices)
 
     if ctrl_cfg.sensitivity is None:

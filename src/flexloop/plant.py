@@ -48,14 +48,17 @@ class ScenarioEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
-        if self.time_s < 0:
-            raise ScenarioError("negative event time")
+        # comparisons with NaN are false, so each check also rejects NaN
+        if not 0.0 <= self.time_s < np.inf:
+            raise ScenarioError(f"non-finite or negative event time {self.time_s}")
         keys = tuple(k for k, _ in self.payload)
         expected = EVENT_KINDS[self.kind]
         if sorted(keys) != sorted(expected):
             raise ScenarioError(
                 f"event {self.kind!r} expects payload {expected}, got {keys}"
             )
+        if not all(-np.inf < v < np.inf for _, v in self.payload):
+            raise ScenarioError(f"event {self.kind!r} payload must be finite, got {self.payload}")
         if self.kind == "slack_voltage_change":
             v = self.get("v_pu")
             if not 0.8 <= v <= 1.2:
@@ -84,8 +87,8 @@ class Scenario:
         times = [e.time_s for e in self.events]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ScenarioError("events not sorted by time")
-        if self.duration_s <= 0:
-            raise ScenarioError("scenario duration must be positive")
+        if not 0.0 < self.duration_s < np.inf:
+            raise ScenarioError(f"scenario duration must be positive and finite, got {self.duration_s}")
 
 
 def schedule(events: tuple[ScenarioEvent, ...], t_prev: float, t: float) -> tuple[ScenarioEvent, ...]:
@@ -120,7 +123,6 @@ class PlantConfig:
     measurement_delay: int = 0
     noise_sigma: float = 0.0  # p.u., applied to every channel
     seed: int = 0
-    slack_v0: float = 1.0
 
     def __post_init__(self) -> None:
         # comparisons with NaN are false, so each check also rejects NaN
@@ -208,7 +210,7 @@ class Plant:
             applied=u0.copy(),
             loads=self.devices.static_loads_pu(self.net.s_base_va),
             ev_power=np.zeros(len(self.devices.ev_points)),
-            slack_v=cfg.slack_v0,
+            slack_v=1.0,
             voltages=None,
             buffer=(),
         )

@@ -124,6 +124,43 @@ def test_network_without_pq_bus_is_input_error(tmp_path, capsys):
     assert "needs a PQ bus" in err
 
 
+def test_cancelling_parallel_branches_are_input_error(tmp_path, capsys):
+    net = tmp_path / "par.net"
+    net.write_text("format: 1\n[buses]\n1 400 slack\n2 400 pq\n[branches]\n1 2 0 0.01\n1 2 0 -0.01\n")
+    code, out, err = run_cli(
+        capsys, "--network", str(net), "--scenario", "exp_a_14p5kw", "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert err == "error: buses unreachable from slack side: [2]\n"
+
+
+_NET = "format: 1\n[buses]\n1 400 slack\n2 400 pq\n[branches]\n1 2 0.03 0.012\n[devices]\n"
+_SCN = "format: 1\nname: x\nduration_s: 50\n[events]\n"
+
+
+@pytest.mark.parametrize(
+    "net_text, scn_text, where",
+    [
+        (_NET + "fpu 2 p_min_kw=0 p_max_kw=nan q_min_kvar=-1 q_max_kvar=1\n", _SCN, "n.net:8"),
+        (_NET + "load 2 p_kw=nan\n", _SCN, "n.net:8"),
+        (_NET + "load 2 p_kw=1\n", _SCN + "10 load_change bus=2 p_kw=inf q_kvar=0\n", "s.scn:5"),
+        (_NET, "format: 1\nname: x\nduration_s: nan\n[events]\n", "s.scn:3"),
+        (_NET, _SCN + "10 set_flexibility p_set_kw=nan\n", "s.scn:5"),
+    ],
+    ids=["fpu-limit", "load-power", "load-change", "duration", "request"],
+)
+def test_non_finite_number_is_one_line_input_error(tmp_path, capsys, net_text, scn_text, where):
+    (tmp_path / "n.net").write_text(net_text)
+    (tmp_path / "s.scn").write_text(scn_text)
+    code, out, err = run_cli(
+        capsys, "--network", str(tmp_path / "n.net"), "--scenario", str(tmp_path / "s.scn"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert where in err and "bad number" in err
+
+
 def test_bad_argument_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--mode", "fly", "--scenario", "exp_a_14p5kw")
     assert code == 1

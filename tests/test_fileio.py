@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexloop.fileio import (
     ParseError,
@@ -134,3 +135,85 @@ def test_parse_files_from_disk(tmp_path, lab_spec, exp_a):
 def test_unsupported_format_version():
     with pytest.raises(ParseError, match="unsupported format version"):
         parse_network_text("format: 2\n[buses]\n1 400 slack\n", "x.net")
+
+
+# kW and kvar on a quarter-kW grid, so kW -> W -> kW is exact; knees in p.u.
+_KW = st.integers(-400, 400).map(lambda k: k / 4)
+_KNEE = st.integers(80, 120).map(lambda k: k / 100)
+_DEVICE_VALUES = {  # kind -> (required keys, optional keys), each with its values
+    "fpu": ({"p_min_kw": _KW, "p_max_kw": _KW, "q_min_kvar": _KW, "q_max_kvar": _KW}, {}),
+    "droop": (
+        {"p_kw": _KW, "q_max_kvar": _KW},
+        {"v_db_lo": _KNEE, "v_db_hi": _KNEE, "v_lo": _KNEE, "v_hi": _KNEE},
+    ),
+    "load": ({"p_kw": _KW}, {"q_kvar": _KW}),
+    "ev": ({"max_kw": _KW}, {}),
+}
+_EVENT_PAYLOADS = {
+    "set_flexibility": {"p_set_kw": _KW},
+    "ev_charge_start": {"bus": st.integers(2, 9), "p_kw": st.integers(-400, 0).map(lambda k: k / 4)},
+    "ev_charge_stop": {"bus": st.integers(2, 9)},
+    "slack_voltage_change": {"v_pu": st.integers(800, 1200).map(lambda k: k / 1000)},
+    "load_change": {"bus": st.integers(2, 9), "p_kw": _KW, "q_kvar": _KW},
+}
+
+
+def _kinds(draw, table: dict) -> list[str]:
+    """Every kind of ``table`` once, in any order, then a few more."""
+    kinds = sorted(table)
+    return draw(st.permutations(kinds)) + draw(st.lists(st.sampled_from(kinds), max_size=4))
+
+
+def _key_values(draw, values: dict) -> str:
+    keys = draw(st.permutations(sorted(values)))
+    return " ".join(f"{k}={draw(values[k])}" for k in keys)
+
+
+@st.composite
+def network_texts(draw):
+    """Every device kind at least once, optional keys present or absent and
+    in any order."""
+    n = draw(st.integers(2, 6))
+    s_base_kva = draw(st.sampled_from([50, 100, 250.5]))
+    lines = ["format: 1", f"s_base_kva: {s_base_kva}", "[buses]", "1 400 slack"]
+    lines += [f"{b} 400 pq" for b in range(2, n + 1)]
+    lines.append("[branches]")
+    ohm = st.floats(0.0, 2.0, allow_subnormal=False)
+    lines += [f"{b - 1} {b} {draw(ohm)} {draw(ohm)}" for b in range(2, n + 1)]
+    lines.append("[devices]")
+    for kind in _kinds(draw, _DEVICE_VALUES):
+        required, optional = _DEVICE_VALUES[kind]
+        present = {k: v for k, v in optional.items() if draw(st.booleans())}
+        lines.append(f"{kind} {draw(st.integers(2, n))} {_key_values(draw, {**required, **present})}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def scenario_texts(draw):
+    """Every event kind at least once, at sorted times, payload keys in any order."""
+    kinds = _kinds(draw, _EVENT_PAYLOADS)
+    times = sorted(draw(st.integers(0, 4000)) / 4 for _ in kinds)
+    name = draw(st.sampled_from(["a", "exp_c"]))
+    lines = ["format: 1", f"name: {name}", f"duration_s: {draw(st.integers(1, 2000)) / 2}", "[events]"]
+    lines += [f"{t} {kind} {_key_values(draw, _EVENT_PAYLOADS[kind])}" for t, kind in zip(times, kinds)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(network_texts())
+def test_network_serialization_is_a_fixed_point(text):
+    spec = parse_network_text(text)
+    once = serialize_network(spec)
+    again = parse_network_text(once)
+    assert again == spec
+    assert serialize_network(again) == once
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_texts())
+def test_scenario_serialization_is_a_fixed_point(text):
+    sc = parse_scenario_text(text)
+    once = serialize_scenario(sc)
+    again = parse_scenario_text(once)
+    assert again == sc
+    assert serialize_scenario(again) == once

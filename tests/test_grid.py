@@ -80,6 +80,13 @@ def test_disconnected_rejected():
         build_network(spec)
 
 
+def test_cancelling_parallel_branches_disconnect():
+    # the branches' admittances sum to zero, so no admittance joins the buses
+    spec = spec_2bus(branches=(Branch(1, 2, 0.0, 0.01), Branch(1, 2, 0.0, -0.01)))
+    with pytest.raises(DisconnectedGraphError, match=r"unreachable from slack side: \[2\]"):
+        build_network(spec)
+
+
 def test_branch_unknown_bus_rejected():
     spec = spec_2bus(branches=(Branch(1, 7, 0.03, 0.012),))
     with pytest.raises(UnknownBusError):

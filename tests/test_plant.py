@@ -143,6 +143,23 @@ def test_negative_event_time_rejected():
         ScenarioEvent.make(-1.0, "set_flexibility", p_set_kw=-1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScenarioEvent.make(np.nan, "set_flexibility", p_set_kw=-1.0),
+        lambda: ScenarioEvent.make(np.inf, "set_flexibility", p_set_kw=-1.0),
+        lambda: ScenarioEvent.make(0.0, "set_flexibility", p_set_kw=np.nan),
+        lambda: ScenarioEvent.make(0.0, "load_change", bus=3, p_kw=np.inf, q_kvar=0.0),
+        lambda: Scenario("x", np.nan, ()),
+        lambda: Scenario("x", np.inf, ()),
+    ],
+    ids=["time-nan", "time-inf", "payload-nan", "payload-inf", "duration-nan", "duration-inf"],
+)
+def test_non_finite_scenario_numbers_rejected(make):
+    with pytest.raises(ScenarioError, match="finite"):
+        make()
+
+
 def test_unknown_kind_and_payload_keys_rejected():
     with pytest.raises(ScenarioError, match="unknown event kind"):
         ScenarioEvent.make(0.0, "frequency_change", hz=50.0)
@@ -402,9 +419,9 @@ def test_droop_hair_thin_ramp_converges():
     inj = base_injections(net, devices)
     inj[0, 1] += q[0]
     np.testing.assert_allclose(solve_power_flow(net, inj, 1.02).v_mag, sol.v_mag, rtol=0, atol=1e-9)
-    plant = Plant(net, devices, PlantConfig(slack_v0=1.02))
+    plant = Plant(net, devices, PlantConfig())
     state = plant.initial_state(np.zeros(0))
-    state, y = plant.step(state, np.zeros(0))
+    state, y = plant.step(state, np.zeros(0), (ScenarioEvent.make(0.0, "slack_voltage_change", v_pu=1.02),))
     assert y.all_valid
     np.testing.assert_allclose(y.v, sol.v_mag[1:], rtol=0, atol=1e-9)
 
