@@ -154,7 +154,6 @@ def _run(args) -> int:
             slack_v=end.slack_v,
             loads_pu=end.loads,
             ev_pu=end.ev_power,
-            seed=args.seed,
         )
         phi_loop = float(np.sum(log.records[-1].u ** 2))
         gap = (phi_loop - opf.phi) / max(abs(opf.phi), 1e-12)

@@ -9,11 +9,11 @@ file byte for byte.
 
 One reader, :func:`_records`, serves both formats: it checks the
 ``format: 1`` header, the ``key: value`` headers before the first section
-and the section names, and yields the section rows. Each device kind is
-described once, in ``_DEVICES``: its class and its required and optional
-columns, each a file key, a dataclass field and a unit scale. Parsing reads
-that table for key checks, unit conversion and construction, and
-serialization writes every column in table order.
+(each at most once) and the section names, and yields the section rows.
+Each device kind is described once, in ``_DEVICES``: its class and its
+required and optional columns, each a file key, a dataclass field and a
+unit scale. Parsing reads that table for key checks, unit conversion and
+construction, and serialization writes every column in table order.
 
 Network file::
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .grid import Branch, Bus, DroopInverter, EvCharger, Fpu, Load, NetworkSpec
+from .grid import Branch, Bus, DroopInverter, EvCharger, Fpu, Load, NetworkSpec, NetworkValidationError
 from .plant import Scenario, ScenarioError, ScenarioEvent
 
 FORMAT_VERSION = 1
@@ -80,7 +80,7 @@ def _records(text: str, path: str, headers: tuple[str, ...], sections: tuple[str
     once every line has been read.
     """
     section = None
-    saw_format = False
+    seen: set[str] = set()
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,15 +96,16 @@ def _records(text: str, path: str, headers: tuple[str, ...], sections: tuple[str
             key, value = key.strip(), value.strip()
             if not sep or not value:
                 raise ParseError(path, no, f"expected 'key: value' header, got {line!r}")
-            if key == "format":
-                if _parse_int(value, path, no, "format") != FORMAT_VERSION:
-                    raise ParseError(path, no, f"unsupported format version {value}")
-                saw_format = True
-            elif key in headers:
-                yield no, None, (key, value)
-            else:
+            if key != "format" and key not in headers:
                 raise ParseError(path, no, f"unknown header key {key!r}")
-    if not saw_format:
+            if key in seen:
+                raise ParseError(path, no, f"repeated header key {key!r}")
+            seen.add(key)
+            if key != "format":
+                yield no, None, (key, value)
+            elif _parse_int(value, path, no, "format") != FORMAT_VERSION:
+                raise ParseError(path, no, f"unsupported format version {value}")
+    if "format" not in seen:
         raise ParseError(path, 1, "missing 'format: 1' header")
 
 
@@ -134,6 +135,8 @@ def _parse_kv(tokens, path, no, field="payload", columns=None) -> dict[str, floa
         if "=" not in tok:
             raise ParseError(path, no, f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
+        if key in raw:
+            raise ParseError(path, no, f"repeated key {key!r} for {field}")
         raw[key] = val
     if columns is not None:
         required, optional = ({c[0] for c in cols} for cols in columns)
@@ -182,7 +185,10 @@ def parse_network_text(text: str, path: str = "<network>") -> NetworkSpec:
             if kind not in ("slack", "pq"):
                 raise ParseError(path, no, f"unknown bus kind {kind!r}")
             bus_id = _parse_int(tokens[0], path, no, "id")
-            buses.append(Bus(bus_id, _parse_float(tokens[1], path, no, "v_nominal_v"), kind))
+            try:
+                buses.append(Bus(bus_id, _parse_float(tokens[1], path, no, "v_nominal_v"), kind))
+            except NetworkValidationError as exc:
+                raise ParseError(path, no, str(exc)) from None
         elif section == "branches":
             if len(tokens) != 4:
                 raise ParseError(path, no, "branch row needs: from to r_ohm x_ohm")

@@ -59,6 +59,8 @@ class ScenarioEvent:
             )
         if not all(-np.inf < v < np.inf for _, v in self.payload):
             raise ScenarioError(f"event {self.kind!r} payload must be finite, got {self.payload}")
+        if "bus" in keys and self.get("bus") != int(self.get("bus")):
+            raise ScenarioError(f"event {self.kind!r} bus must be an integer, got {self.get('bus')}")
         if self.kind == "slack_voltage_change":
             v = self.get("v_pu")
             if not 0.8 <= v <= 1.2:

@@ -162,7 +162,7 @@ def test_criterion_5_optimality_vs_oracle():
         cfg = ControllerConfig.for_network(net, devices)
         log = run_closed_loop(net, devices, scen, cfg, PlantConfig())
         phi_loop = float(np.sum(log.records[-1].u ** 2))
-        opf = reference_opf(net, devices, p_set_pu=p_set_kw * 1e3 / net.s_base_va, seed=seed)
+        opf = reference_opf(net, devices, p_set_pu=p_set_kw * 1e3 / net.s_base_va)
         gaps.append(abs(phi_loop - opf.phi) / max(abs(opf.phi), 1e-12))
     elapsed = time.perf_counter() - t0
     ok = all(g < 0.01 for g in gaps) and elapsed < 60.0

@@ -161,6 +161,31 @@ def test_non_finite_number_is_one_line_input_error(tmp_path, capsys, net_text, s
     assert where in err and "bad number" in err
 
 
+@pytest.mark.parametrize(
+    "net_text, scn_text, message",
+    [
+        # the charger is on bus 2, which bus=2.5 used to be truncated to
+        (_NET + "ev 2 max_kw=11\n", _SCN + "10 ev_charge_start bus=2.5 p_kw=-5\n",
+         "s.scn:5: event 'ev_charge_start' bus must be an integer, got 2.5"),
+        (_NET + "load 2 p_kw=1 p_kw=2\n", _SCN, "n.net:8: repeated key 'p_kw' for load"),
+        (_NET, "format: 1\nname: x\nduration_s: 50\nduration_s: 60\n[events]\n",
+         "s.scn:4: repeated header key 'duration_s'"),
+        ("format: 1\n[buses]\n1 -400 slack\n", _SCN, "n.net:3: bus 1: nonpositive nominal voltage"),
+    ],
+    ids=["fractional-event-bus", "repeated-key", "repeated-header", "bus"],
+)
+def test_malformed_row_is_one_line_input_error(tmp_path, capsys, net_text, scn_text, message):
+    (tmp_path / "n.net").write_text(net_text)
+    (tmp_path / "s.scn").write_text(scn_text)
+    code, out, err = run_cli(
+        capsys, "--network", str(tmp_path / "n.net"), "--scenario", str(tmp_path / "s.scn"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.endswith(message + "\n")
+
+
 def test_bad_argument_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--mode", "fly", "--scenario", "exp_a_14p5kw")
     assert code == 1

@@ -93,6 +93,41 @@ def test_missing_device_key_rejected():
         parse_network_text(text, "x.net")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "format: 1\n[buses]\n1 400 slack\n2 400 pq\n[devices]\n"
+            "fpu 2 p_min_kw=0 p_min_kw=5 p_max_kw=9 q_min_kvar=0 q_max_kvar=0\n",
+            r"x\.net:6: repeated key 'p_min_kw' for fpu",
+        ),
+        ("format: 1\ns_base_kva: 100\ns_base_kva: 50\n[buses]\n1 400 slack\n",
+         r"x\.net:3: repeated header key 's_base_kva'"),
+        ("format: 1\nformat: 1\n[buses]\n1 400 slack\n", r"x\.net:2: repeated header key 'format'"),
+    ],
+    ids=["device-key", "header", "format"],
+)
+def test_network_repeated_key_rejected(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_network_text(text, "x.net")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "format: 1\nname: x\nduration_s: 10\n[events]\n1 set_flexibility p_set_kw=-1 p_set_kw=-2\n",
+            r"x\.scn:5: repeated key 'p_set_kw' for payload",
+        ),
+        ("format: 1\nname: x\nduration_s: 10\nname: y\n[events]\n", r"x\.scn:4: repeated header key 'name'"),
+    ],
+    ids=["event-key", "header"],
+)
+def test_scenario_repeated_key_rejected(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scenario_text(text, "x.scn")
+
+
 def test_negative_event_time_rejected():
     text = "format: 1\nname: x\nduration_s: 10\n[events]\n-1 set_flexibility p_set_kw=-1\n"
     with pytest.raises(ParseError, match="negative event time"):

@@ -16,7 +16,7 @@ from flexloop.harness import (
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.sensitivity import compute_sensitivity
 
-from oracles import cone_stationarity
+from oracles import cone_stationarity, slsqp_opf
 
 
 def _scenario(events, duration=200.0, name="test"):
@@ -241,7 +241,7 @@ def test_opf_trivial_no_loads():
     )
     net = build_network(spec)
     devices = build_devices(spec, net)
-    res = reference_opf(net, devices, p_set_pu=0.0, seed=0)
+    res = reference_opf(net, devices, p_set_pu=0.0)
     assert res.phi == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(res.u, 0.0, atol=1e-8)
 
@@ -256,7 +256,7 @@ def test_opf_single_fpu_export_analytic():
     net = build_network(spec)
     devices = build_devices(spec, net)
     export = 0.06
-    res = reference_opf(net, devices, p_set_pu=-export, seed=0)
+    res = reference_opf(net, devices, p_set_pu=-export)
     assert res.u[0] == pytest.approx(export, abs=1e-4)
     assert res.u[1] == pytest.approx(0.0, abs=1e-4)
     assert res.phi == pytest.approx(export**2, rel=1e-2)
@@ -266,7 +266,7 @@ def test_opf_matches_closed_loop_on_exp_a(lab_net, lab_devices, exp_a):
     cfg = ControllerConfig.for_network(lab_net, lab_devices)
     log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
     phi_loop = float(np.sum(log.records[-1].u ** 2))
-    res = reference_opf(lab_net, lab_devices, p_set_pu=-0.145, slack_v=1.048, seed=2)
+    res = reference_opf(lab_net, lab_devices, p_set_pu=-0.145, slack_v=1.048)
     assert res.stationarity < 1e-7
     assert abs(phi_loop - res.phi) / res.phi < 0.01
 
@@ -286,7 +286,7 @@ def test_opf_matches_closed_loop_on_exp_a(lab_net, lab_devices, exp_a):
 
 def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     with pytest.raises(InfeasibleRequestError) as exc:
-        reference_opf(lab_net, lab_devices, p_set_pu=-0.60, seed=0)
+        reference_opf(lab_net, lab_devices, p_set_pu=-0.60)
     err = exc.value
     # both P caps bind; the closest attainable exchange is the full export
     # (30 kW of capability less the local load and losses)
@@ -294,6 +294,26 @@ def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     assert err.closest_pu == pytest.approx(-0.287, abs=0.01)
     assert "unreachable" in str(err)
     assert "closest attainable -28.722 kW" in str(err)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("feeder", seed) for seed in range(5)] + [("lab", 1.0), ("lab", 1.048)],
+    ids=lambda c: f"{c[0]}{c[1]}",
+)
+def test_opf_matches_independent_slsqp(case, lab_net, lab_devices):
+    # a second algorithm on the same exact plant response: the best of
+    # SLSQP's three starts reaches the one descent's feed-in
+    kind, arg = case
+    if kind == "feeder":
+        net, devices, p_set_kw = random_feeder(arg)
+        p_set_pu, slack_v = p_set_kw * 1e3 / net.s_base_va, 1.0
+    else:
+        net, devices, p_set_pu, slack_v = lab_net, lab_devices, -0.145, arg
+    res = reference_opf(net, devices, p_set_pu=p_set_pu, slack_v=slack_v)
+    ref = slsqp_opf(net, devices, p_set_pu, slack_v=slack_v)
+    assert ref is not None
+    assert res.phi == pytest.approx(ref[0], rel=1e-6)
 
 
 def test_closest_attainable_keeps_its_closest_iterate(lab_net, lab_devices, monkeypatch):
@@ -319,7 +339,7 @@ def test_closest_attainable_keeps_its_closest_iterate(lab_net, lab_devices, monk
 
     monkeypatch.setattr(harness, "_closest_attainable", counting_certificate)
     with pytest.raises(InfeasibleRequestError) as exc:
-        reference_opf(lab_net, lab_devices, p_set_pu=-0.60, seed=0)
+        reference_opf(lab_net, lab_devices, p_set_pu=-0.60)
     assert 0 < len(calls) < 150
     assert exc.value.closest_pu < -0.28721
 
@@ -343,7 +363,7 @@ def test_oracle_descent_linearizes_at_every_step(lab_net, lab_devices, monkeypat
 
     counting(harness, "linearize")
     counting(qp, "solve_qp")
-    reference_opf(lab_net, lab_devices, p_set_pu=-0.145, seed=0)
+    reference_opf(lab_net, lab_devices, p_set_pu=-0.145)
     assert calls["solve_qp"] > 0
     assert calls["linearize"] >= calls["solve_qp"]
 
