@@ -31,42 +31,38 @@ MAX_MEASURED_PU = 1e3  # |v| or |p_pcc| above this is no physical reading
 
 
 class InvalidMeasurementError(ValueError):
-    """Measurement has an invalid, non-finite or unphysical channel (beyond
+    """Measurement has a non-finite or unphysical channel (beyond
     ``MAX_MEASURED_PU``), or its buses or voltage vector do not match the
     monitored set. Timestamps are not checked."""
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One sample of grid feedback: bus voltages and PCC active power."""
+    """One sample of grid feedback: bus voltages and PCC active power.
+
+    Validity is the value: a channel is valid exactly when it is finite and
+    within ``MAX_MEASURED_PU`` in magnitude, so a dropout is a NaN channel.
+    """
 
     v: np.ndarray
     bus_ids: tuple[int, ...]
     p_pcc: float
     timestamp: float
-    v_valid: np.ndarray
-    pcc_valid: bool = True
 
     @staticmethod
     def make(v, bus_ids, p_pcc, timestamp) -> "Measurement":
-        """Measurement whose channels are valid exactly where they are finite
-        and within ``MAX_MEASURED_PU`` in magnitude."""
-        v = np.asarray(v, dtype=float)
+        """Measurement with its channels coerced to floats."""
         return Measurement(
-            v=v,
+            v=np.asarray(v, dtype=float),
             bus_ids=tuple(bus_ids),
             p_pcc=float(p_pcc),
             timestamp=float(timestamp),
-            v_valid=np.abs(v) <= MAX_MEASURED_PU,
-            pcc_valid=bool(abs(p_pcc) <= MAX_MEASURED_PU),
         )
 
     @property
     def all_valid(self) -> bool:
-        """Every channel flagged valid, finite and within
-        ``MAX_MEASURED_PU``; a flag alone is not trusted."""
-        physical = abs(self.p_pcc) <= MAX_MEASURED_PU and np.all(np.abs(self.v) <= MAX_MEASURED_PU)
-        return bool(self.pcc_valid and np.all(self.v_valid) and physical)
+        """Every channel finite and within ``MAX_MEASURED_PU``."""
+        return bool(abs(self.p_pcc) <= MAX_MEASURED_PU and np.all(np.abs(self.v) <= MAX_MEASURED_PU))
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,8 @@ def controller_step(
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
     exactly; holds with an alarm if the setpoints have the wrong shape or a
-    non-finite entry, if the measurement is invalid (a non-finite or invalid
-    channel, or buses that do not match the monitored set) or if the
+    non-finite entry, if the measurement is invalid (a non-finite or
+    unphysical channel, or buses that do not match the monitored set) or if the
     projection has no feasible direction even after softening the tracking
     row.
     """

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import (
-    DEFAULT_BAND,
-    DEFAULT_RHO,
     ControllerConfig,
     Measurement,
     StepRecord,
@@ -30,13 +28,13 @@ from .grid import (
     DeviceSet, NetworkModel, Branch, Bus, Fpu, Load, NetworkSpec, build_devices, build_network, droop_law,
 )
 from .plant import (
+    PLANT_EVENT_KINDS,
     Plant,
     PlantConfig,
     PlantDivergedError,
     Scenario,
     schedule,
     steady_state_response,
-    validate_scenario,
 )
 from .sensitivity import SensitivityMatrix, compute_sensitivity, linearize
 
@@ -172,18 +170,20 @@ def run_closed_loop(
     """Run the feedback loop over one scenario.
 
     The loop starts from zero setpoints, where the sensitivity map is
-    computed unless the config already carries one. Controller alarms are logged and the run
-    continues; a diverging plant truncates the log with an abort reason.
+    computed unless the config already carries one. Every plant event is
+    applied once to the rest state first, so a target without its device
+    raises :class:`~flexloop.plant.ScenarioError` before the first sample.
+    Controller alarms are logged and the run continues; a diverging plant
+    truncates the log with an abort reason.
     """
     u = np.zeros(devices.n_setpoints)
-    validate_scenario(scenario, net, devices)
+    plant = Plant(net, devices, plant_cfg)
+    state = plant.initial_state(u)
+    plant.apply_events(state, [e for e in scenario.events if e.kind in PLANT_EVENT_KINDS])
 
     if ctrl_cfg.sensitivity is None:
         sens = compute_sensitivity(net, devices, u)
         ctrl_cfg = replace(ctrl_cfg, sensitivity=sens)
-
-    plant = Plant(net, devices, plant_cfg)
-    state = plant.initial_state(u)
 
     dt = plant_cfg.t_sample_s
     n_samples = int(round(scenario.duration_s / dt)) + 1
@@ -239,7 +239,6 @@ class KpiReport:
     violation_samples: int
     energy_kwh: tuple[tuple[str, float], ...]
     request_time_s: float
-    settle_tol_kw: float
 
     def render(self) -> str:
         lines = []
@@ -259,20 +258,17 @@ class KpiReport:
         lines.append(f"voltage_violation_samples: {self.violation_samples}")
         for label, kwh in self.energy_kwh:
             lines.append(f"energy[{label}]: {kwh:.6g} kWh")
-        lines.append(f"tolerances: settle<{self.settle_tol_kw} kW, steady<{STEADY_TOL_KW} kW")
+        lines.append(f"tolerances: settle<{SETTLE_TOL_KW} kW, steady<{STEADY_TOL_KW} kW")
         return "\n".join(lines) + "\n"
 
 
-def summarize(
-    log: TelemetryLog,
-    *,
-    settle_tol_kw: float = SETTLE_TOL_KW,
-) -> KpiReport:
+def summarize(log: TelemetryLog) -> KpiReport:
     """KPIs of one run: settling, steady-state error, band violations, energy.
 
     Settling is measured from the last request change to the first sample
-    whose tracking error stays below tolerance for ``SETTLE_PERSIST``
-    consecutive samples (later disturbances do not reopen the clock).
+    whose tracking error stays below ``SETTLE_TOL_KW`` for ``SETTLE_PERSIST``
+    consecutive samples, all inside the log (later disturbances do not
+    reopen the clock).
     """
     if not log.records:
         raise ValueError("empty telemetry log")
@@ -290,10 +286,10 @@ def summarize(
     settled = False
     settling_time = None
     settling_iterations = None
-    idx = np.nonzero(eligible)[0]
-    below = err < settle_tol_kw
-    for i in idx:
-        if np.all(below[i : i + SETTLE_PERSIST]):
+    below = err < SETTLE_TOL_KW
+    for i in np.nonzero(eligible)[0]:
+        window = below[i : i + SETTLE_PERSIST]
+        if window.size == SETTLE_PERSIST and np.all(window):
             settled = True
             settling_time = float(times[i] - request_time)
             settling_iterations = int(round(settling_time / log.t_sample_s))
@@ -324,31 +320,7 @@ def summarize(
         violation_samples=violation_samples,
         energy_kwh=tuple(energy),
         request_time_s=float(request_time),
-        settle_tol_kw=settle_tol_kw,
     )
-
-
-def time_to_recover(log: TelemetryLog, event_time_s: float, tol_kw: float = SETTLE_TOL_KW) -> int | None:
-    """Samples until tracking error stays below ``tol_kw`` after an event."""
-    times = log.times()
-    err = np.abs(log.tracking_error_kw())
-    for i in np.nonzero(times > event_time_s)[0]:
-        if np.all(err[i:] < tol_kw):
-            return int(round((times[i] - event_time_s) / log.t_sample_s))
-    return None
-
-
-def trailing_violation_counts(log: TelemetryLog, window: int = 10, after_s: float = 0.0) -> np.ndarray:
-    """Count of out-of-band samples in each trailing window after ``after_s``."""
-    oob = log.out_of_band().astype(int)
-    times = log.times()
-    counts = []
-    for i in range(len(oob)):
-        if times[i] < after_s:
-            continue
-        lo = max(0, i - window + 1)
-        counts.append(int(np.sum(oob[lo : i + 1])))
-    return np.array(counts, dtype=int)
 
 
 # --- model-based oracle ------------------------------------------------------
@@ -396,16 +368,12 @@ def reference_opf(
     """
     from .qp import solve_qp, STATUS_OPTIMAL
 
-    p = devices.n_setpoints
-    lb, ub = devices.setpoint_bounds_pu(net.s_base_va)
-    if v_min is None or v_max is None:
-        n_pq = len(net.pq_ids)
-        v_min, v_max = np.full(n_pq, 1.0 - DEFAULT_BAND), np.full(n_pq, 1.0 + DEFAULT_BAND)
+    cfg = ControllerConfig.for_network(net, devices, alpha=OPF_STEP, tracking_gain=1.0)
+    cfg = replace(cfg, p_set_pu=p_set_pu)
+    if v_min is not None and v_max is not None:
+        cfg = replace(cfg, v_min=v_min, v_max=v_max)
+    lb, ub = cfg.u_min, cfg.u_max
     droop = droop_law(net, devices)
-    cfg = ControllerConfig(
-        alpha=OPF_STEP, rho=DEFAULT_RHO, p_set_pu=p_set_pu, monitored=net.pq_ids,
-        v_min=v_min, v_max=v_max, u_min=lb, u_max=ub, s_base_va=net.s_base_va, tracking_gain=1.0,
-    )
 
     def respond(u, prev=None):
         sol, _, _ = steady_state_response(
@@ -424,7 +392,7 @@ def reference_opf(
         return qp, solve_qp(qp)
 
     def descend():
-        u = np.clip(np.zeros(p), lb, ub)
+        u = np.clip(np.zeros(lb.shape), lb, ub)
         pf = None
         best_gap = np.inf
         best_phi = np.inf
@@ -459,9 +427,7 @@ def reference_opf(
 
     out = descend()
     if out is None or abs(out[2] - p_set_pu) > 1e-6:
-        closest, binding = _closest_attainable(
-            respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p
-        )
+        closest, binding = _closest_attainable(respond, local_jacobian, cfg)
         raise InfeasibleRequestError(p_set_pu, closest, binding, net.s_base_va)
     u, phi, pcc, v, pf = out
     qp, sol = projection(u, v, pcc, pf)
@@ -483,14 +449,16 @@ def _limit_names(qp, sol) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max, p):
+def _closest_attainable(respond, local_jacobian, cfg):
     """Best-effort tracking point used in infeasibility reports: Gauss-Newton
-    steps on the PCC gap, stopping at the first step that does not bring the
-    PCC power closer. Returns the closest iterate's PCC power and the
-    :func:`_limit_names` of the QP posed there."""
+    steps on the gap to ``cfg``'s PCC request within its band and boxes,
+    stopping at the first step that does not bring the PCC power closer.
+    Returns the closest iterate's PCC power and the :func:`_limit_names` of
+    the QP posed there."""
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
-    u = np.clip(np.zeros(p), lb, ub)
+    p_set_pu, lb, ub = cfg.p_set_pu, cfg.u_min, cfg.u_max
+    u = np.clip(np.zeros(lb.shape), lb, ub)
     pf = None
     u_lin = None
     best = None
@@ -507,8 +475,8 @@ def _closest_attainable(respond, local_jacobian, p_set_pu, lb, ub, v_min, v_max,
             g=dpcc * gap / scale,
             alpha=1.0,
             a_in=dv,
-            lb_in=v_min - v,
-            ub_in=v_max - v,
+            lb_in=cfg.v_min - v,
+            ub_in=cfg.v_max - v,
             lb_box=lb - u,
             ub_box=ub - u,
         )

@@ -6,6 +6,11 @@ warm-started from the previous sample's voltages, and a (optionally noisy,
 optionally delayed) measurement is emitted.
 Network and inverter dynamics are assumed settled within one sample.
 
+Plant time is the sample index: sample k is at ``k * t_sample_s``. Every
+measurement the plant returns draws its own noise: sample k's from
+``(seed, k)``, primed copy i's from ``(seed, i, 2)`` and the re-solve of
+:meth:`Plant.apply_now` after n steps from ``(seed, n, 1)``.
+
 The plant is a pure state machine: ``Plant.step`` maps an old state and a
 commanded setpoint vector to a new state plus measurement, so independent
 plants can run concurrently without shared state.
@@ -98,26 +103,6 @@ def schedule(events: tuple[ScenarioEvent, ...], t_prev: float, t: float) -> tupl
     return tuple(e for e in events if t_prev < e.time_s <= t)
 
 
-def validate_scenario(scenario: Scenario, net: NetworkModel, devices: DeviceSet) -> None:
-    """Check event targets against the actual device population."""
-    ev_buses = {c.bus: c for c in devices.ev_points}
-    load_buses = {ld.bus for ld in devices.loads}
-    for e in scenario.events:
-        if e.kind in ("ev_charge_start", "ev_charge_stop"):
-            bus = int(e.get("bus"))
-            if bus not in ev_buses:
-                raise ScenarioError(f"no EV charger at bus {bus}")
-            if e.kind == "ev_charge_start":
-                if abs(e.get("p_kw")) * 1e3 > ev_buses[bus].max_charge_w + 1e-9:
-                    raise ScenarioError(
-                        f"EV power {e.get('p_kw')} kW exceeds charger rating at bus {bus}"
-                    )
-        elif e.kind == "load_change":
-            bus = int(e.get("bus"))
-            if bus not in load_buses:
-                raise ScenarioError(f"no load at bus {bus}")
-
-
 @dataclass(frozen=True)
 class PlantConfig:
     t_sample_s: float = 5.0
@@ -140,12 +125,11 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Disturbance state plus actuation/measurement pipelines at time ``t``."""
+    """Disturbance state plus actuation/measurement pipelines after
+    ``step_index`` steps; the next step resolves sample ``step_index``."""
 
-    t: float
     step_index: int
     queue: tuple[np.ndarray, ...]  # pending commands (actuation_delay - 1 deep)
-    applied: np.ndarray
     loads: np.ndarray  # current (P, Q) per load, p.u.
     ev_power: np.ndarray  # per charger, p.u. (<= 0 while charging)
     slack_v: float
@@ -193,91 +177,93 @@ class Plant:
         self.devices = devices
         self.config = config
         self._lb, self._ub = devices.setpoint_bounds_pu(net.s_base_va)
-        self._monitored = net.pq_ids
 
     def initial_state(self, u0: np.ndarray) -> PlantState:
         """Pre-scenario rest state at ``u0``; requires a solvable power flow.
 
-        The measurement pipeline is primed with the rest-state measurement
-        (back-dated one sample apart) so delayed emissions keep strictly
+        With a measurement delay of m samples the pipeline is primed with m
+        copies of the rest-state measurement, copy i stamped
+        ``(i - m) * t_sample_s``, so delayed emissions keep strictly
         increasing timestamps from the first step on.
         """
         cfg = self.config
         u0 = np.clip(np.asarray(u0, dtype=float), self._lb, self._ub)
-        queue_depth = max(0, cfg.actuation_delay - 1)
         state = PlantState(
-            t=-cfg.t_sample_s,
             step_index=0,
-            queue=tuple(u0.copy() for _ in range(queue_depth)),
-            applied=u0.copy(),
+            queue=tuple(u0.copy() for _ in range(max(0, cfg.actuation_delay - 1))),
             loads=self.devices.static_loads_pu(self.net.s_base_va),
             ev_power=np.zeros(len(self.devices.ev_points)),
             slack_v=1.0,
             voltages=None,
             buffer=(),
         )
-        if cfg.measurement_delay > 0:
-            state, rest = self._resolve(state, u0, state.t)
-            m = cfg.measurement_delay
-            primed = tuple(
-                replace(rest, timestamp=state.t - (m - 1 - i) * cfg.t_sample_s)
-                for i in range(m)
-            )
+        m = cfg.measurement_delay
+        if m > 0:
+            state, v, p_pcc = self._resolve(state, u0)
+            primed = tuple(self._measure(v, p_pcc, (i - m) * cfg.t_sample_s, (i, 2)) for i in range(m))
             state = replace(state, buffer=primed)
         return state
 
     # -- event application -------------------------------------------------
 
     def apply_events(self, state: PlantState, events) -> PlantState:
-        """``state`` with the disturbances of ``events`` applied, in order."""
+        """``state`` with the disturbances of ``events`` applied, in order.
+
+        Raises :class:`ScenarioError` for an event at a bus without a
+        charger or a load to act on, or beyond its charger's rating.
+        """
+        s_base = self.net.s_base_va
         loads = state.loads
         ev = state.ev_power
         slack = state.slack_v
         for e in events:
             if e.kind not in PLANT_EVENT_KINDS:
                 raise ScenarioError(f"event kind {e.kind!r} is not a plant event")
-            if e.kind == "ev_charge_start":
+            if e.kind in ("ev_charge_start", "ev_charge_stop"):
                 bus = int(e.get("bus"))
-                idx = [c.bus for c in self.devices.ev_points].index(bus)
-                rating = self.devices.ev_points[idx].max_charge_w / self.net.s_base_va
+                buses = [c.bus for c in self.devices.ev_points]
+                if bus not in buses:
+                    raise ScenarioError(f"no EV charger at bus {bus}")
+                idx = buses.index(bus)
+                p_kw = e.get("p_kw") if e.kind == "ev_charge_start" else 0.0
+                rating_w = self.devices.ev_points[idx].max_charge_w
+                if abs(p_kw) * 1e3 > rating_w + 1e-9:
+                    raise ScenarioError(f"EV power {p_kw} kW exceeds charger rating at bus {bus}")
                 ev = ev.copy()
-                ev[idx] = float(np.clip(e.get("p_kw") * 1e3 / self.net.s_base_va, -rating, 0.0))
-            elif e.kind == "ev_charge_stop":
-                bus = int(e.get("bus"))
-                idx = [c.bus for c in self.devices.ev_points].index(bus)
-                ev = ev.copy()
-                ev[idx] = 0.0
+                ev[idx] = float(np.clip(p_kw * 1e3 / s_base, -rating_w / s_base, 0.0))
             elif e.kind == "slack_voltage_change":
                 slack = float(e.get("v_pu"))
             elif e.kind == "load_change":
                 bus = int(e.get("bus"))
-                idx = [ld.bus for ld in self.devices.loads].index(bus)
+                buses = [ld.bus for ld in self.devices.loads]
+                if bus not in buses:
+                    raise ScenarioError(f"no load at bus {bus}")
+                idx = buses.index(bus)
                 loads = loads.copy()
-                loads[idx, 0] = e.get("p_kw") * 1e3 / self.net.s_base_va
-                loads[idx, 1] = e.get("q_kvar") * 1e3 / self.net.s_base_va
+                loads[idx, 0] = e.get("p_kw") * 1e3 / s_base
+                loads[idx, 1] = e.get("q_kvar") * 1e3 / s_base
         return replace(state, loads=loads, ev_power=ev, slack_v=slack)
 
     # -- stepping ----------------------------------------------------------
 
-    def _resolve(self, state: PlantState, applied: np.ndarray, t: float) -> tuple[PlantState, Measurement]:
-        cfg = self.config
+    def _resolve(self, state: PlantState, applied: np.ndarray) -> tuple[PlantState, np.ndarray, float]:
+        """The grid's steady state under ``applied``: ``state`` warm-started
+        there, and its noise-free voltages and PCC power."""
         sol, _, _ = steady_state_response(
-            self.net,
-            self.devices,
-            applied,
-            loads_pu=state.loads,
-            ev_pu=state.ev_power,
-            slack_v=state.slack_v,
-            x0=state.voltages,
+            self.net, self.devices, applied,
+            loads_pu=state.loads, ev_pu=state.ev_power, slack_v=state.slack_v, x0=state.voltages,
         )
-        v = sol.v_mag[1:].copy()
-        p_pcc = sol.pcc_power_pu
+        return replace(state, voltages=(sol.v_mag, sol.v_ang)), sol.v_mag[1:].copy(), sol.pcc_power_pu
+
+    def _measure(self, v: np.ndarray, p_pcc: float, t: float, key: tuple[int, ...]) -> Measurement:
+        """The measurement of ``v`` and ``p_pcc`` stamped ``t``, its noise
+        drawn from ``(seed, *key)``."""
+        cfg = self.config
         if cfg.noise_sigma > 0:
-            rng = np.random.default_rng((cfg.seed, state.step_index))
+            rng = np.random.default_rng((cfg.seed, *key))
             v = v + rng.normal(0.0, cfg.noise_sigma, v.shape[0])
             p_pcc = p_pcc + float(rng.normal(0.0, cfg.noise_sigma))
-        meas = Measurement.make(v, self._monitored, p_pcc, t)
-        return replace(state, applied=applied, voltages=(sol.v_mag, sol.v_ang), t=t), meas
+        return Measurement.make(v, self.net.pq_ids, p_pcc, t)
 
     def step(
         self, state: PlantState, commanded: np.ndarray, events=()
@@ -289,26 +275,22 @@ class Plant:
         the measurement (subject to the configured measurement delay).
         """
         cfg = self.config
-        t = state.t + cfg.t_sample_s
+        k = state.step_index
         state = self.apply_events(state, events)
 
         commanded = np.clip(np.asarray(commanded, dtype=float), self._lb, self._ub)
         pipeline = state.queue + (commanded,)
-        applied, queue = pipeline[0], pipeline[1:]
-
-        state, meas = self._resolve(state, applied, t)
+        state, v, p_pcc = self._resolve(state, pipeline[0])
+        meas = self._measure(v, p_pcc, k * cfg.t_sample_s, (k,))
         buffer = (state.buffer + (meas,))[-(cfg.measurement_delay + 1):]
-        emitted = buffer[0]
-        return (
-            replace(state, queue=queue, buffer=buffer, step_index=state.step_index + 1),
-            emitted,
-        )
+        return replace(state, step_index=k + 1, queue=pipeline[1:], buffer=buffer), buffer[0]
 
     def apply_now(self, state: PlantState, commanded: np.ndarray) -> tuple[PlantState, Measurement]:
         """Re-resolve the current sample with a new command (zero actuation
         delay); time does not advance and no events fire."""
+        n = state.step_index
         commanded = np.clip(np.asarray(commanded, dtype=float), self._lb, self._ub)
-        state, meas = self._resolve(state, commanded, state.t)
-        buffer = state.buffer[:-1] + (meas,) if state.buffer else (meas,)
-        emitted = buffer[0]
-        return replace(state, buffer=buffer), emitted
+        state, v, p_pcc = self._resolve(state, commanded)
+        meas = self._measure(v, p_pcc, (n - 1) * self.config.t_sample_s, (n, 1))
+        buffer = state.buffer[:-1] + (meas,)
+        return replace(state, buffer=buffer), buffer[0]

@@ -17,6 +17,8 @@ purpose: :func:`bus_powers` reads the per-nonzero row sums of
 the power flow's evaluation, and :func:`power_jacobian` unpacks the dense
 Jacobian from the band the power flow factors, so that finite differences
 and dense solves check the production kernels and the band layout.
+Two telemetry readings that only the tests take, :func:`time_to_recover`
+and :func:`trailing_violation_counts`, also live here.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from flexloop.controller import DEFAULT_BAND
 from flexloop.grid import (
     DeviceSet, DroopInverter, NetworkModel, add_setpoint_injections, base_injections, droop_law,
 )
+from flexloop.harness import SETTLE_TOL_KW, TelemetryLog
 from flexloop.plant import PlantDivergedError, steady_state_response
 from flexloop.powerflow import PowerFlowSolution, _evaluate, _jacobian, solve_power_flow
 from flexloop.qp import QpProblem
@@ -359,3 +362,26 @@ def slsqp_opf(
         if res.success and feasible and (best is None or res.fun < best[0]):
             best = (float(res.fun), res.x)
     return best
+
+
+def time_to_recover(log: TelemetryLog, event_time_s: float, tol_kw: float = SETTLE_TOL_KW) -> int | None:
+    """Samples until tracking error stays below ``tol_kw`` after an event."""
+    times = log.times()
+    err = np.abs(log.tracking_error_kw())
+    for i in np.nonzero(times > event_time_s)[0]:
+        if np.all(err[i:] < tol_kw):
+            return int(round((times[i] - event_time_s) / log.t_sample_s))
+    return None
+
+
+def trailing_violation_counts(log: TelemetryLog, window: int = 10, after_s: float = 0.0) -> np.ndarray:
+    """Count of out-of-band samples in each trailing window after ``after_s``."""
+    oob = log.out_of_band().astype(int)
+    times = log.times()
+    counts = []
+    for i in range(len(oob)):
+        if times[i] < after_s:
+            continue
+        lo = max(0, i - window + 1)
+        counts.append(int(np.sum(oob[lo : i + 1])))
+    return np.array(counts, dtype=int)

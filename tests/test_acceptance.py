@@ -17,8 +17,6 @@ from flexloop.harness import (
     reference_opf,
     run_closed_loop,
     summarize,
-    time_to_recover,
-    trailing_violation_counts,
 )
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.powerflow import solve_power_flow
@@ -26,7 +24,9 @@ from flexloop.qp import solve_qp
 from flexloop.sensitivity import compute_sensitivity
 
 from conftest import make_two_bus, record_acceptance
-from oracles import bus_powers, enumerate_qp, newton_jacobian, two_bus_voltage
+from oracles import (
+    bus_powers, enumerate_qp, newton_jacobian, time_to_recover, trailing_violation_counts, two_bus_voltage,
+)
 from test_qp import _random_problem
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_flexibility_tracking(lab_net, lab_devices, exp_a):
     cfg = ControllerConfig.for_network(lab_net, lab_devices)
     log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
     elapsed = time.perf_counter() - t0
-    kpi = summarize(log, settle_tol_kw=0.1)
+    kpi = summarize(log)
     ok = (
         kpi.settled
         and kpi.settling_iterations <= 10
@@ -185,7 +185,7 @@ def test_criterion_6_model_mismatch_robustness(lab_net, lab_devices, exp_a):
         )
         cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=scaled)
         log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
-        kpi = summarize(log, settle_tol_kw=0.1)
+        kpi = summarize(log)
         if kpi.settled and kpi.settling_iterations <= 25:
             worst = max(worst, kpi.settling_iterations)
         else:

@@ -30,8 +30,10 @@ def test_run_exp_a_writes_outputs(tmp_path, capsys):
 
 
 def test_run_empty_scenario_zero_error(tmp_path, capsys):
+    # 100 s: settled at 10 s, and the log holds a full SETTLE_PERSIST window
+    # after that (a 50 s log ends 9 samples later)
     scn = tmp_path / "idle.scn"
-    scn.write_text("format: 1\nname: idle\nduration_s: 50\n\n[events]\n")
+    scn.write_text("format: 1\nname: idle\nduration_s: 100\n\n[events]\n")
     code, out, err = run_cli(capsys, "--scenario", str(scn), "--out", str(tmp_path))
     assert code == 0
     kpi = (tmp_path / "kpi.txt").read_text()
@@ -114,8 +116,10 @@ def test_parse_error_names_file_and_line(tmp_path, capsys):
 def test_network_without_pq_bus_is_input_error(tmp_path, capsys):
     net = tmp_path / "one.net"
     net.write_text("format: 1\ns_base_kva: 100\n\n[buses]\n1 400 slack\n\n[branches]\n\n[devices]\n")
+    # 100 s: settled at 10 s, and the log holds a full SETTLE_PERSIST window
+    # after that (a 50 s log ends 9 samples later)
     scn = tmp_path / "idle.scn"
-    scn.write_text("format: 1\nname: idle\nduration_s: 50\n\n[events]\n")
+    scn.write_text("format: 1\nname: idle\nduration_s: 100\n\n[events]\n")
     code, out, err = run_cli(
         capsys, "--network", str(net), "--scenario", str(scn), "--out", str(tmp_path / "out")
     )
@@ -184,6 +188,26 @@ def test_malformed_row_is_one_line_input_error(tmp_path, capsys, net_text, scn_t
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        ("10 ev_charge_start bus=2 p_kw=-5", "no EV charger at bus 2"),
+        ("10 load_change bus=2 p_kw=1 q_kvar=0", "no load at bus 2"),
+    ],
+    ids=["charge-without-charger", "load-change-without-load"],
+)
+def test_event_without_its_device_is_input_error(tmp_path, capsys, event, message):
+    (tmp_path / "n.net").write_text(_NET + "fpu 2 p_min_kw=0 p_max_kw=5 q_min_kvar=-1 q_max_kvar=1\n")
+    (tmp_path / "s.scn").write_text(_SCN + event + "\n")
+    code, out, err = run_cli(
+        capsys, "--network", str(tmp_path / "n.net"), "--scenario", str(tmp_path / "s.scn"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "telemetry.csv").exists()
 
 
 def test_bad_argument_is_input_error(tmp_path, capsys):

@@ -138,11 +138,11 @@ def test_emitted_setpoints_respect_boxes_exactly(lab_net, lab_devices, sens):
 def test_invalid_measurement_holds_with_alarm(lab_net, lab_devices, sens):
     cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
-    y = _measurement(cfg, v=1.0, p_pcc=0.0)
+    # a dropout is a NaN channel, also in a measurement built without make
     y_bad = Measurement(
-        v=y.v, bus_ids=y.bus_ids, p_pcc=y.p_pcc, timestamp=y.timestamp,
-        v_valid=np.array([True, False, True, True]), pcc_valid=True,
+        v=np.array([1.0, np.nan, 1.0, 1.0]), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=0.0,
     )
+    assert not y_bad.all_valid
     u_next, rec = controller_step(u, y_bad, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
@@ -160,13 +160,11 @@ def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
     u = np.array([0.01, 0.0, 0.02, 0.0])
     y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
-    # a directly built measurement may flag a non-finite channel as valid
-    flagged_valid = replace(y, v_valid=np.ones(4, dtype=bool), pcc_valid=True)
-    for meas in (y, flagged_valid):
-        u_next, rec = controller_step(u, meas, cfg)
-        np.testing.assert_array_equal(u_next, u)
-        assert rec.alarm
-        assert rec.qp_status == "held_invalid_measurement"
+    assert not y.all_valid
+    u_next, rec = controller_step(u, y, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
 
 
 @pytest.mark.parametrize(
@@ -181,14 +179,12 @@ def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     u = np.array([0.01, 0.0, 0.02, 0.0])
     y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
     assert not y.all_valid
-    flagged_valid = replace(y, v_valid=np.ones(4, dtype=bool), pcc_valid=True)
-    for meas in (y, flagged_valid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            u_next, rec = controller_step(u, meas, cfg)
-        np.testing.assert_array_equal(u_next, u)
-        assert rec.alarm
-        assert rec.qp_status == "held_invalid_measurement"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_next, rec = controller_step(u, y, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
     # the bound itself is a valid reading
     assert _measurement(cfg, v=MAX_MEASURED_PU, p_pcc=-MAX_MEASURED_PU).all_valid
 

@@ -10,13 +10,11 @@ from flexloop.harness import (
     reference_opf,
     run_closed_loop,
     summarize,
-    time_to_recover,
-    trailing_violation_counts,
 )
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.sensitivity import compute_sensitivity
 
-from oracles import cone_stationarity, slsqp_opf
+from oracles import cone_stationarity, slsqp_opf, time_to_recover, trailing_violation_counts
 
 
 def _scenario(events, duration=200.0, name="test"):
@@ -220,6 +218,29 @@ def test_summarize_violation_directly():
     kpi = summarize(log)
     assert kpi.max_violation_pu == pytest.approx(0.001, abs=1e-12)
     assert kpi.violation_samples == 1
+
+
+def test_summarize_needs_a_full_settling_window():
+    # 50 kW off target on samples 0-29, on target only on the last sample:
+    # one good sample at the end of the log is no settling
+    def rec(i, err_pu):
+        return StepRecord(
+            iteration=i, timestamp=5.0 * i, u=np.zeros(2), v=np.array([1.0]),
+            p_pcc=err_pu, p_set=0.0, qp_status="optimal", eq_slack=0.0,
+            active_mask=0, soft_fallback=False, alarm=False,
+        )
+
+    log = TelemetryLog(
+        records=tuple(rec(i, 0.5 if i < 30 else 0.0) for i in range(31)),
+        t_sample_s=5.0,
+        s_base_va=1e5, fpu_buses=(2,), monitored=(2,), v_bases=(400.0,),
+        v_min=np.array([0.95]), v_max=np.array([1.05]),
+        u_min=np.array([-1.0, -1.0]), u_max=np.array([1.0, 1.0]),
+    )
+    kpi = summarize(log)
+    assert kpi.steady_state_error_kw == pytest.approx(50.0)
+    assert not kpi.settled and kpi.settling_time_s is None
+    assert "did not settle" in kpi.render()
 
 
 def test_energy_contributions(lab_net, lab_devices, exp_a):

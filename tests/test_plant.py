@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flexloop.controller import ControllerConfig
 from flexloop.grid import (
     Branch,
     Bus,
@@ -25,8 +26,8 @@ from flexloop.plant import (
     ScenarioEvent,
     schedule,
     steady_state_response,
-    validate_scenario,
 )
+from flexloop.harness import run_closed_loop
 from flexloop.powerflow import solve_power_flow
 
 from conftest import make_hair_thin_ramp
@@ -167,17 +168,26 @@ def test_unknown_kind_and_payload_keys_rejected():
         ScenarioEvent.make(0.0, "slack_voltage_change", volts=1.0)
 
 
-def test_validate_scenario_against_devices(lab_net, lab_devices):
-    bad = Scenario(
-        "x", 100.0, (ScenarioEvent.make(0.0, "ev_charge_start", bus=5, p_kw=-1.0),)
-    )
-    with pytest.raises(ScenarioError, match="no EV charger"):
-        validate_scenario(bad, lab_net, lab_devices)
-    too_big = Scenario(
-        "x", 100.0, (ScenarioEvent.make(0.0, "ev_charge_start", bus=3, p_kw=-20.0),)
-    )
-    with pytest.raises(ScenarioError, match="rating"):
-        validate_scenario(too_big, lab_net, lab_devices)
+def test_validate_scenario_against_devices(lab_net, lab_devices, monkeypatch):
+    cases = [
+        (ScenarioEvent.make(0.0, "ev_charge_start", bus=5, p_kw=-1.0), "no EV charger at bus 5"),
+        (ScenarioEvent.make(0.0, "ev_charge_stop", bus=4), "no EV charger at bus 4"),
+        (ScenarioEvent.make(0.0, "ev_charge_start", bus=3, p_kw=-20.0),
+         "EV power -20.0 kW exceeds charger rating at bus 3"),
+        (ScenarioEvent.make(0.0, "load_change", bus=5, p_kw=1.0, q_kvar=0.0), "no load at bus 5"),
+    ]
+    plant = Plant(lab_net, lab_devices, PlantConfig())
+    rest = plant.initial_state(np.zeros(4))
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    for event, message in cases:
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            plant.apply_events(rest, (event,))
+    # the closed loop checks even a late event before its first sample
+    monkeypatch.setattr(Plant, "step", lambda *args: pytest.fail("the plant was stepped"))
+    for event, message in cases:
+        late = Scenario("x", 100.0, (replace(event, time_s=90.0),))
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            run_closed_loop(lab_net, lab_devices, late, cfg, PlantConfig())
 
 
 # --- plant stepping ----------------------------------------------------------
@@ -385,14 +395,43 @@ def test_measurement_delay_buffer(lab_net, lab_devices):
 
 
 def test_timestamps_strictly_increasing(lab_net, lab_devices):
-    for m in (0, 1, 2):
-        plant = Plant(lab_net, lab_devices, PlantConfig(measurement_delay=m))
-        state = plant.initial_state(np.zeros(4))
-        stamps = []
-        for _ in range(6):
-            state, y = plant.step(state, np.zeros(4))
-            stamps.append(y.timestamp)
-        assert all(b > a for a, b in zip(stamps, stamps[1:]))
+    # sample k is at k * t_sample_s; with a measurement delay of m, step k
+    # emits sample k - m, the primed copies first
+    for a in (0, 1):
+        for m in (0, 1, 2):
+            plant = Plant(lab_net, lab_devices, PlantConfig(t_sample_s=2.5, actuation_delay=a, measurement_delay=m))
+            state = plant.initial_state(np.zeros(4))
+            stamps = []
+            for k in range(6):
+                state, y = plant.step(state, np.zeros(4))
+                stamps.append(y.timestamp)
+                if a == 0:
+                    state, y_now = plant.apply_now(state, np.full(4, 0.01))
+                    assert y_now.timestamp == (k - m) * 2.5
+            assert stamps == [(k - m) * 2.5 for k in range(6)]
+
+
+def test_every_measurement_draws_its_own_noise(lab_net, lab_devices):
+    def noise(noisy, clean):
+        return np.append(noisy.v - clean.v, noisy.p_pcc - clean.p_pcc)
+
+    for a, m in ((1, 1), (1, 2), (0, 0)):
+        cfg = PlantConfig(actuation_delay=a, measurement_delay=m)
+        noisy = Plant(lab_net, lab_devices, replace(cfg, noise_sigma=1e-3, seed=3))
+        clean = Plant(lab_net, lab_devices, cfg)
+        sn, sc = noisy.initial_state(np.zeros(4)), clean.initial_state(np.zeros(4))
+        draws = []  # the primed copies, every step and every re-solve
+        for k in range(4):
+            u = np.full(4, 0.01 * k)
+            (sn, yn), (sc, yc) = noisy.step(sn, u), clean.step(sc, u)
+            draws.append(noise(yn, yc))
+            if a == 0:
+                (sn, yn), (sc, yc) = noisy.apply_now(sn, u + 0.005), clean.apply_now(sc, u + 0.005)
+                draws.append(noise(yn, yc))
+        assert all(np.max(np.abs(d)) > 1e-5 for d in draws)
+        for i in range(len(draws)):
+            for j in range(i):
+                assert np.max(np.abs(draws[i] - draws[j])) > 1e-6, (a, m, i, j)
 
 
 def test_noise_seeded_and_reproducible(lab_net, lab_devices):
@@ -436,12 +475,16 @@ def test_power_flow_divergence_aborts(lab_net, lab_devices):
 
 def test_applied_setpoints_clipped_to_device_limits(lab_net, lab_devices):
     plant = Plant(lab_net, lab_devices, PlantConfig())
-    state = plant.initial_state(np.zeros(4))
     wild = np.array([10.0, 10.0, -10.0, -10.0])  # far outside every box
-    state, _ = plant.step(state, wild)
-    state, _ = plant.step(state, wild)
     lb, ub = lab_devices.setpoint_bounds_pu(lab_net.s_base_va)
-    assert np.all(state.applied >= lb) and np.all(state.applied <= ub)
+    measured = []
+    for u in (wild, np.clip(wild, lb, ub)):
+        state = plant.initial_state(u)
+        state, _ = plant.step(state, u)
+        state, y = plant.step(state, u)
+        measured.append(y)
+    np.testing.assert_array_equal(measured[0].v, measured[1].v)
+    assert measured[0].p_pcc == measured[1].p_pcc
 
 
 @pytest.mark.parametrize(
