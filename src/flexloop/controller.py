@@ -42,6 +42,7 @@ class Measurement:
 
     Validity is the value: a channel is valid exactly when it is finite and
     within ``MAX_MEASURED_PU`` in magnitude, so a dropout is a NaN channel.
+    The channels are coerced to floats on construction.
     """
 
     v: np.ndarray
@@ -49,15 +50,11 @@ class Measurement:
     p_pcc: float
     timestamp: float
 
-    @staticmethod
-    def make(v, bus_ids, p_pcc, timestamp) -> "Measurement":
-        """Measurement with its channels coerced to floats."""
-        return Measurement(
-            v=np.asarray(v, dtype=float),
-            bus_ids=tuple(bus_ids),
-            p_pcc=float(p_pcc),
-            timestamp=float(timestamp),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        object.__setattr__(self, "bus_ids", tuple(self.bus_ids))
+        object.__setattr__(self, "p_pcc", float(self.p_pcc))
+        object.__setattr__(self, "timestamp", float(self.timestamp))
 
     @property
     def all_valid(self) -> bool:
@@ -93,8 +90,10 @@ class ControllerConfig:
             raise ValueError(f"step size alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.rho < np.inf:
             raise ValueError(f"soft-equality weight rho must be positive and finite, got {self.rho}")
-        if not -np.inf < self.p_set_pu < np.inf:
-            raise ValueError(f"PCC power request must be finite, got {self.p_set_pu}")
+        if not abs(self.p_set_pu) <= MAX_MEASURED_PU:
+            raise ValueError(
+                f"PCC power request must be finite and within {MAX_MEASURED_PU:g} p.u., got {self.p_set_pu:g} p.u."
+            )
         if not (np.all(np.isfinite(self.v_min)) and np.all(np.isfinite(self.v_max))):
             raise ValueError("voltage band limits must be finite")
         if np.any(self.v_min >= self.v_max):

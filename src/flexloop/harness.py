@@ -33,6 +33,7 @@ from .plant import (
     PlantConfig,
     PlantDivergedError,
     Scenario,
+    ScenarioError,
     schedule,
     steady_state_response,
 )
@@ -46,6 +47,7 @@ SETTLE_PERSIST = 10  # samples the error must stay below tolerance to count as s
 STEADY_WINDOW = 10  # trailing samples that make up the steady state
 OPF_STEP = 0.5  # the oracle's projected-gradient step size
 OPF_MAX_ITER = 200  # iterations of the descent
+MAX_SAMPLES = 10**6  # a longer closed-loop run is an input error
 
 
 class InfeasibleRequestError(RuntimeError):
@@ -170,22 +172,32 @@ def run_closed_loop(
     """Run the feedback loop over one scenario.
 
     The loop starts from zero setpoints, where the sensitivity map is
-    computed unless the config already carries one. Every plant event is
-    applied once to the rest state first, so a target without its device
-    raises :class:`~flexloop.plant.ScenarioError` before the first sample.
+    computed unless the config already carries one. A run of more than
+    ``MAX_SAMPLES`` samples is refused, every plant event is applied once to
+    the rest state and every request to the config first, so such a run, a
+    target without its device or a request the config rejects raises
+    :class:`~flexloop.plant.ScenarioError` before the first sample.
     Controller alarms are logged and the run continues; a diverging plant
     truncates the log with an abort reason.
     """
+    dt = plant_cfg.t_sample_s
+    if not scenario.duration_s / dt <= MAX_SAMPLES:
+        raise ScenarioError(f"scenario duration {scenario.duration_s:g} s exceeds {MAX_SAMPLES} samples of {dt:g} s")
     u = np.zeros(devices.n_setpoints)
     plant = Plant(net, devices, plant_cfg)
     state = plant.initial_state(u)
     plant.apply_events(state, [e for e in scenario.events if e.kind in PLANT_EVENT_KINDS])
+    for e in scenario.events:
+        if e.kind == "set_flexibility":
+            try:
+                set_flexibility_request(ctrl_cfg, e.get("p_set_kw"))
+            except ValueError as exc:
+                raise ScenarioError(f"set_flexibility at {e.time_s:g} s: {exc}") from None
 
     if ctrl_cfg.sensitivity is None:
         sens = compute_sensitivity(net, devices, u)
         ctrl_cfg = replace(ctrl_cfg, sensitivity=sens)
 
-    dt = plant_cfg.t_sample_s
     n_samples = int(round(scenario.duration_s / dt)) + 1
     records: list[StepRecord] = []
     abort = None
@@ -386,7 +398,7 @@ def reference_opf(
         return linearize(net, devices, sol, droop)
 
     def projection(u, v, pcc, pf):
-        y = Measurement.make(v, net.pq_ids, pcc, 0.0)
+        y = Measurement(v, net.pq_ids, pcc, 0.0)
         sens = SensitivityMatrix(*local_jacobian(pf))
         qp = assemble_projection_qp(u, y, replace(cfg, sensitivity=sens))
         return qp, solve_qp(qp)

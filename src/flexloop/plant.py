@@ -263,7 +263,7 @@ class Plant:
             rng = np.random.default_rng((cfg.seed, *key))
             v = v + rng.normal(0.0, cfg.noise_sigma, v.shape[0])
             p_pcc = p_pcc + float(rng.normal(0.0, cfg.noise_sigma))
-        return Measurement.make(v, self.net.pq_ids, p_pcc, t)
+        return Measurement(v, self.net.pq_ids, p_pcc, t)
 
     def step(
         self, state: PlantState, commanded: np.ndarray, events=()

@@ -9,16 +9,18 @@ Solves
 
 with the dual active-set method of Goldfarb and Idnani ("A numerically
 stable dual method for solving strictly convex quadratic programs", Math.
-Programming 27, 1983). All rows are stacked once per solve as ``N w <= h``
-in canonical row-id order (:meth:`QpProblem.row_labels`): the equality
-rows, then a (lower, upper) pair per two-sided row, then per box entry. The
-same ids name the active set, the most violated row and the entries of the
-one multiplier vector. The loop starts at the minimizer on the hard
-equality rows, so it needs no feasible point, and adds the most violated
-inequality row until none is left. The objective Hessian is a positive
-multiple of the identity (plus a penalty term when soft equality rows are
-engaged), so every subproblem is strictly convex and the minimizer is
-unique.
+Programming 27, 1983, sections 3-4) in range-space form. All rows are
+stacked once per solve as ``N w <= h`` in canonical row-id order
+(:meth:`QpProblem.row_labels`): the equality rows, then a (lower, upper)
+pair per two-sided row, then per box entry. The same ids name the active
+set, the most violated row and the entries of the one multiplier vector.
+The Hessian is ``2 I`` plus a low-rank penalty term, so ``H^-1`` is applied
+in closed form. The loop starts at the minimizer on the hard equality rows,
+so it needs no feasible point, and adds the most violated inequality row
+until none is left, keeping one Cholesky factor of ``N_W H^-1 N_W'`` over
+its working rows ``W``. A row whose pivot vanishes against the terms it is
+computed from lies in their span; with no working row to drop for it, the
+rows are infeasible.
 
 Soft equality rows are a fallback: the solver first treats every equality
 as hard; only if that system is infeasible are the rows flagged soft moved
@@ -31,9 +33,11 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import linprog
 
 STATUS_OPTIMAL = "optimal"
@@ -44,24 +48,18 @@ KKT_TOL = 1e-8
 ACTIVE_TOL = 1e-7
 DEFAULT_RHO = 1e4  # weight of the soft equality rows' penalty
 
+_HOMOGENEOUS = ("g", "b_eq", "lb_in", "ub_in", "lb_box", "ub_box")  # scaling these scales w
 _VIOL_TOL = 0.1 * KKT_TOL  # a row violated by no more than this is met
-_SPAN_EPS = 1e-11  # |H z| <= this * |N_row|: the row lies in the working rows' span
+_PIVOT_EPS = 1e-11  # a pivot within this share of its terms' size: the row is in the working rows' span
 
 
 def _as_matrix(a, p: int) -> np.ndarray:
-    if a is None:
-        return np.zeros((0, p))
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return np.zeros((0, p))
-    return a
+    a = None if a is None else np.atleast_2d(np.asarray(a, dtype=float))
+    return np.zeros((0, p)) if a is None or a.size == 0 else a
 
 
 def _as_vector(v, n: int, fill: float) -> np.ndarray:
-    if v is None:
-        return np.full(n, fill)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return v
+    return np.full(n, fill) if v is None else np.atleast_1d(np.asarray(v, dtype=float))
 
 
 @dataclass
@@ -152,19 +150,8 @@ class QpProblem:
     # JSON-friendly round trip so problems can be attached to telemetry and
     # replayed offline
     def to_dict(self) -> dict:
-        return {
-            "g": self.g.tolist(),
-            "alpha": self.alpha,
-            "a_eq": self.a_eq.tolist(),
-            "b_eq": self.b_eq.tolist(),
-            "eq_soft": self.eq_soft.tolist(),
-            "rho": self.rho,
-            "a_in": self.a_in.tolist(),
-            "lb_in": self.lb_in.tolist(),
-            "ub_in": self.ub_in.tolist(),
-            "lb_box": self.lb_box.tolist(),
-            "ub_box": self.ub_box.tolist(),
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @staticmethod
     def from_dict(data: dict) -> "QpProblem":
@@ -228,48 +215,75 @@ def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray)
     return np.asarray(res.x[:n], dtype=float)
 
 
-def _kkt_solve(H: np.ndarray, c: np.ndarray, A: np.ndarray, d: np.ndarray):
-    """Solve the equality-constrained QP min 0.5 w'Hw + c'w s.t. Aw = d."""
-    n = H.shape[0]
-    m = A.shape[0]
-    if m == 0:
-        return np.linalg.solve(H, -c), np.zeros(0)
-    K = np.block([[H, A.T], [A, np.zeros((m, m))]])
-    rhs = np.concatenate([-c, d])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(sol)):
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:n], sol[n:]
+def _inverse_hessian(p: QpProblem, soften: bool):
+    """``H^-1`` on the rows of an array, and the free minimizer ``-H^-1 c``.
+    ``H`` is ``2 I``, plus ``2 rho Es' Es`` when the soft rows ``Es`` are
+    penalized: by Woodbury ``H^-1 = (I - Es' (I / rho + Es Es')^-1 Es) / 2``."""
+    if not soften:
+        return (lambda x: 0.5 * x), -p.g
+    Es = p.alpha * p.a_eq[p.eq_soft]
+    K = np.linalg.solve(np.eye(len(Es)) / p.rho + Es @ Es.T, Es)
+
+    def hinv(x):
+        return 0.5 * (x - (x @ Es.T) @ K)
+
+    return hinv, -hinv(2.0 * (p.g - p.rho * (Es.T @ p.b_eq[p.eq_soft])))
 
 
-def _dual_solve(
-    H: np.ndarray,
-    c: np.ndarray,
-    N: np.ndarray,
-    h: np.ndarray,
-    eq_rows: np.ndarray,
-    ineq: np.ndarray,
-    max_iter: int,
-):
-    """Dual active-set loop of Goldfarb and Idnani.
+def _tri(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:  # L^-1 b, or L^-T b with trans=1
+    return dtrtrs(L, b, lower=1, trans=trans)[0] if len(b) else b
 
-    ``eq_rows`` index the rows of ``N`` held as equalities; ``ineq`` masks
-    the rows held as ``N_i w <= h_i``. The loop starts at the minimizer on
-    the equality rows and adds the most violated inequality row by raising
-    its multiplier, dropping a working row whose multiplier reaches zero on
-    the way. Returns ``(status, w, lam, iterations)`` with ``lam`` over all
-    rows of ``N``. Ties go to the lowest row id.
+
+def _dual_solve(hinv, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray, ineq: np.ndarray,
+                max_iter: int):
+    """Dual active-set loop of Goldfarb and Idnani in range-space form.
+
+    Minimizes ``0.5 w'Hw + c'w`` given ``H^-1`` as ``hinv`` and the free
+    minimizer ``w_free = -H^-1 c``. ``eq_rows`` index the rows of ``N`` held
+    as equalities (one in the span of the earlier ones is skipped); ``ineq``
+    masks the rows held as ``N_i w <= h_i``. ``L`` is the lower Cholesky
+    factor of ``N_W H^-1 N_W'``; a row ``r`` extends it by ``l = L^-1 N_W
+    H^-1 N_r'`` and the pivot ``N_r H^-1 N_r' - |l|^2``, the curvature of the
+    step that adds it. Returns ``(status, w, lam, iterations)`` with ``lam``
+    over all rows of ``N``. Ties go to the lowest row id.
     """
-    n_eq = len(eq_rows)
-    work = list(eq_rows)
-    # inequality rows that fit beside the equality rows, which may be dependent
-    room = H.shape[0] - np.linalg.matrix_rank(N[work])
+    r_free = N @ w_free - h
+    work: list[int] = []
+    L = np.zeros((0, 0))
+    NH = np.zeros((0, N.shape[1]))  # the working rows times H^-1
+    size = np.zeros(0)  # the root of the diagonal of N_W H^-1 N_W'
+
+    def candidate(row):  # H^-1 N_r', l, the dual direction y and the pivot
+        a = hinv(N[row])
+        col = _tri(L, NH @ N[row])
+        y = -_tri(L, col, trans=1)
+        diag = float(N[row] @ a)
+        pivot = diag - float(col @ col)
+        # the difference keeps the round-off of the terms it cancels, which
+        # grow with y; a pivot within it puts the row in the working rows' span
+        if pivot <= _PIVOT_EPS * (math.sqrt(diag) + np.abs(y) @ size) ** 2:
+            pivot = 0.0
+        return a, col, y, pivot
+
+    def grow(row, a, col, pivot):  # the factor with one more row
+        work.append(row)
+        k = len(col)
+        out = np.zeros((k + 1, k + 1))
+        out[:k, :k], out[k, :k], out[k, k] = L, col, math.sqrt(pivot)
+        return out, np.concatenate((NH, a[None])), np.append(size, math.sqrt(col @ col + pivot))
+
+    def resolve():  # the minimizer on the working rows, by two solves on L
+        y = _tri(L, _tri(L, r_free[work]), trans=1)
+        return w_free - y @ NH, y
+
+    for row in eq_rows:
+        a, col, _, pivot = candidate(row)
+        if pivot:
+            L, NH, size = grow(row, a, col, pivot)
+    n_eq = len(work)
     lam = np.zeros(N.shape[0])
-    w, lam[work] = _kkt_solve(H, c, N[work], h[work])
-    if n_eq and np.max(np.abs(N[work] @ w - h[work])) > _VIOL_TOL:
+    w, lam[work] = resolve()
+    if len(eq_rows) and np.max(np.abs(N[eq_rows] @ w - h[eq_rows])) > _VIOL_TOL:
         return STATUS_INFEASIBLE, w, lam, 0
     row = -1  # the row being added; kept until it joins the working set
     steps = 0
@@ -283,49 +297,33 @@ def _dual_solve(
         if steps == max_iter:
             return STATUS_MAX_ITER, w, lam, steps
         steps += 1
-        z, y = _kkt_solve(H, N[row], N[work], np.zeros(len(work)))
+        a, col, y, pivot = candidate(row)
         # a dual step raises lam[row] by t and moves the working multipliers
         # by t * y; the first inequality multiplier to reach zero limits it
-        shrinking = np.flatnonzero(y[n_eq:] < 0.0)
+        shrinking = np.nonzero(y[n_eq:] < 0.0)[0]
         t_drop = np.inf
         if shrinking.size:
             ratios = lam[[work[n_eq + i] for i in shrinking]] / -y[n_eq + shrinking]
             drop = int(np.argmin(ratios))
             t_drop = max(float(ratios[drop]), 0.0)
-        # a full working set, or a row in its span, leaves no primal direction
-        curvature = -float(N[row] @ z)
-        if len(work) - n_eq >= room or curvature <= 0.0 or (
-            np.max(np.abs(H @ z)) <= _SPAN_EPS * np.max(np.abs(N[row]))
-        ):
-            if not np.isfinite(t_drop):
-                return STATUS_INFEASIBLE, w, lam, steps
-            t_add = np.inf
-        else:
-            t_add = max(float(N[row] @ w - h[row]) / curvature, 0.0)
-            w = w + min(t_add, t_drop) * z
-        t = min(t_add, t_drop)
-        lam[work] += t * y
-        lam[row] += t
-        if t_add <= t_drop:
-            work.append(row)
+        if pivot and float(N[row] @ w - h[row]) <= pivot * t_drop:  # the full step adds the row
+            L, NH, size = grow(row, a, col, pivot)
             row = -1
             # re-solve on the new working set so round-off does not build up
-            w, lam[work] = _kkt_solve(H, c, N[work], h[work])
-            lam[work[n_eq:]] = np.maximum(lam[work[n_eq:]], 0.0)
-        else:
-            lam[work.pop(n_eq + int(shrinking[drop]))] = 0.0
-
-
-def _objective_terms(p: QpProblem, soften: bool):
-    """Hessian and linear term, optionally with the soft-row penalty."""
-    H = 2.0 * np.eye(p.n)
-    c = 2.0 * p.g
-    if soften and np.any(p.eq_soft):
-        Es = p.alpha * p.a_eq[p.eq_soft]
-        bs = p.b_eq[p.eq_soft]
-        H = H + 2.0 * p.rho * (Es.T @ Es)
-        c = c - 2.0 * p.rho * (Es.T @ bs)
-    return H, c
+            w, y = resolve()
+            y[n_eq:] = np.maximum(y[n_eq:], 0.0)
+            lam[work] = y
+            continue
+        if not np.isfinite(t_drop):  # a spanned row, and nothing to drop for it
+            return STATUS_INFEASIBLE, w, lam, steps
+        if pivot:  # a partial step, up to the drop
+            w = w - t_drop * (a + y @ NH)
+        lam[work] += t_drop * y
+        lam[row] += t_drop
+        k = n_eq + int(shrinking[drop])
+        lam[work.pop(k)] = 0.0
+        L, NH, size = np.delete(L, k, axis=0), np.delete(NH, k, axis=0), np.delete(size, k)
+        L = dpotrf(L @ L.T, lower=1)[0]
 
 
 def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
@@ -346,11 +344,7 @@ def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndar
 
 
 def kkt_residuals(
-    p: QpProblem,
-    w: np.ndarray,
-    multipliers: np.ndarray,
-    *,
-    penalized: np.ndarray | None = None,
+    p: QpProblem, w: np.ndarray, multipliers: np.ndarray, *, penalized: np.ndarray | None = None
 ) -> tuple[float, float, float]:
     """Stationarity, primal-feasibility and complementarity infinity norms.
 
@@ -371,9 +365,20 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
     complementarity relative to the largest multiplier (at least 1).
     Infeasible hard systems yield ``status="infeasible"`` with the id of the
     maximally violated row, after the soft-equality fallback (if any rows
-    allow it) has been tried.
+    allow it) has been tried. As ``w`` scales with ``g`` and the right-hand
+    sides, a ``g``, ``b_eq`` or bound excluding ``w = 0`` beyond 2 in size is
+    solved and certified at an exact power-of-two scale, free of overflow.
     """
     p = problem
+    reach = np.concatenate((np.abs(p.g), np.abs(p.b_eq), p.lb_in, -p.ub_in, p.lb_box, -p.ub_box))
+    scale = math.ldexp(1.0, max(math.frexp(np.max(reach, initial=0.0))[1] - 1, 0))
+    if scale > 1.0:
+        sol = solve_qp(replace(p, **{k: getattr(p, k) / scale for k in _HOMOGENEOUS}), max_iter=max_iter)
+        with np.errstate(over="ignore"):  # what exceeds the float range is inf
+            lam = None if sol.multipliers is None else sol.multipliers * scale
+            return replace(sol, w=sol.w * scale, stationarity=sol.stationarity * scale, primal=sol.primal * scale,
+                           complementarity=sol.complementarity * scale * scale, multipliers=lam,
+                           eq_slack=sol.eq_slack * scale)
     if max_iter is None:
         max_iter = 100 + 10 * p.n_rows
     N, h = _stacked_rows(p)
@@ -386,8 +391,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
         if soften and not np.any(p.eq_soft):
             break
         eq_rows = np.flatnonzero(~p.eq_soft) if soften else np.arange(m)
-        H, c = _objective_terms(p, soften)
-        status, w, lam, iters = _dual_solve(H, c, N, h, eq_rows, ineq, max_iter)
+        hinv, w_free = _inverse_hessian(p, soften)
+        status, w, lam, iters = _dual_solve(hinv, w_free, N, h, eq_rows, ineq, max_iter)
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
@@ -400,9 +405,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
         return QpSolution(
             w=w,
             status=status,
-            stationarity=stat,
-            primal=primal,
-            complementarity=comp,
+            stationarity=stat, primal=primal, complementarity=comp,
             active_set=tuple(np.flatnonzero(binding).tolist()) if status == STATUS_OPTIMAL else (),
             multipliers=lam,
             eq_slack=N[:m] @ w - p.b_eq,
@@ -419,11 +422,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
     return QpSolution(
         w=w_lv,
         status=STATUS_INFEASIBLE,
-        stationarity=float("nan"),
-        primal=worst,
-        complementarity=float("nan"),
-        active_set=(),
-        multipliers=None,
+        stationarity=float("nan"), primal=worst, complementarity=float("nan"),
+        active_set=(), multipliers=None,
         eq_slack=r[:m],
         softened=bool(np.any(p.eq_soft)),
         iterations=cap_iters,

@@ -210,6 +210,37 @@ def test_event_without_its_device_is_input_error(tmp_path, capsys, event, messag
     assert not (tmp_path / "out" / "telemetry.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["run", "compare-oracle"])
+@pytest.mark.parametrize("p_set_kw", ["1e300", "1e8"])
+def test_absurd_request_is_input_error(tmp_path, capsys, mode, p_set_kw):
+    # beyond MAX_MEASURED_PU (1e3 p.u., 1e5 kW on this base): 1e300 kW used
+    # to leak an overflow warning and hold, 1e8 kW to hold every sample
+    (tmp_path / "n.net").write_text(_NET + "fpu 2 p_min_kw=0 p_max_kw=5 q_min_kvar=-1 q_max_kvar=1\n")
+    (tmp_path / "s.scn").write_text(_SCN + f"10 set_flexibility p_set_kw={p_set_kw}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "--mode", mode, "--network", str(tmp_path / "n.net"), "--scenario", str(tmp_path / "s.scn"),
+            "--out", str(tmp_path / "out"),
+        )
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: set_flexibility at 10 s: PCC power request must be finite and within 1000 p.u.")
+    assert not (tmp_path / "out" / "telemetry.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["run", "compare-oracle", "sweep-alpha"])
+def test_huge_duration_is_input_error(tmp_path, capsys, mode):
+    # 2e299 samples used to append records until the run was killed
+    (tmp_path / "s.scn").write_text("format: 1\nname: x\nduration_s: 1e300\n[events]\n")
+    code, out, err = run_cli(
+        capsys, "--mode", mode, "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert err == "error: scenario duration 1e+300 s exceeds 1000000 samples of 5 s\n"
+    assert not (tmp_path / "out" / "telemetry.csv").exists()
+
+
 def test_bad_argument_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--mode", "fly", "--scenario", "exp_a_14p5kw")
     assert code == 1

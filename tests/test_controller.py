@@ -53,7 +53,7 @@ def sens(lab_net, lab_devices):
 
 def _measurement(cfg, v=1.0, p_pcc=0.0, t=0.0):
     v_arr = np.full(len(cfg.monitored), v) if np.isscalar(v) else np.asarray(v)
-    return Measurement.make(v_arr, cfg.monitored, p_pcc, t)
+    return Measurement(v_arr, cfg.monitored, p_pcc, t)
 
 
 def test_fixed_point_yields_zero_direction(lab_net, lab_devices, sens):
@@ -135,10 +135,25 @@ def test_emitted_setpoints_respect_boxes_exactly(lab_net, lab_devices, sens):
         assert np.all(u >= cfg.u_min) and np.all(u <= cfg.u_max)  # zero tolerance
 
 
+def test_measurement_built_from_lists_steps_as_from_arrays(lab_net, lab_devices, sens):
+    # a list voltage vector used to raise AttributeError inside controller_step
+    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    v = [1.01, 1.02, 1.0, 1.03]
+    y_list = Measurement(v=v, bus_ids=list(cfg.monitored), p_pcc=0, timestamp=5)
+    y_array = Measurement(v=np.array(v), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=5.0)
+    np.testing.assert_array_equal(y_list.v, y_array.v)
+    assert y_list.bus_ids == cfg.monitored
+    assert isinstance(y_list.p_pcc, float) and isinstance(y_list.timestamp, float)
+    (u_list, rec_list), (u_array, rec_array) = (controller_step(u, y, cfg) for y in (y_list, y_array))
+    assert rec_list.qp_status == rec_array.qp_status == "optimal"
+    np.testing.assert_array_equal(u_list, u_array)
+
+
 def test_invalid_measurement_holds_with_alarm(lab_net, lab_devices, sens):
     cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
-    # a dropout is a NaN channel, also in a measurement built without make
+    # a dropout is a NaN channel
     y_bad = Measurement(
         v=np.array([1.0, np.nan, 1.0, 1.0]), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=0.0,
     )
@@ -206,7 +221,7 @@ def test_invalid_setpoints_hold_with_alarm(lab_net, lab_devices, sens, u):
 def test_mismatched_measurement_holds_with_alarm(lab_net, lab_devices, sens, bus_ids, n_v):
     cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
-    u_next, rec = controller_step(u, Measurement.make(np.ones(n_v), bus_ids, 0.0, 0.0), cfg)
+    u_next, rec = controller_step(u, Measurement(np.ones(n_v), bus_ids, 0.0, 0.0), cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
@@ -237,7 +252,7 @@ def test_set_flexibility_request_converts_units(lab_net, lab_devices, sens):
 
 def test_measurement_bus_mismatch_rejected(lab_net, lab_devices, sens):
     cfg = _cfg(lab_net, lab_devices, sens)
-    y = Measurement.make(np.ones(4), (2, 3, 4, 9), 0.0, 0.0)
+    y = Measurement(np.ones(4), (2, 3, 4, 9), 0.0, 0.0)
     with pytest.raises(InvalidMeasurementError, match="monitored"):
         assemble_projection_qp(np.zeros(4), y, cfg)
 

@@ -408,3 +408,19 @@ def test_csv_columns_and_shape(lab_net, lab_devices, exp_a):
     # one record per sample, monotone timestamps
     times = log.times()
     assert np.all(np.diff(times) == 5.0)
+
+
+# The ten (seed, request) pairs of random_feeder seeds 0-39 whose requests
+# {own, 0, +50, -50, 3x own} kW froze with held_max_iter: all out of reach.
+_FROZE = [(4, "3x"), (5, -50.0), (5, "3x"), (16, 50.0), (16, -50.0), (16, "3x"), (18, "3x"), (30, "3x"),
+          (36, 50.0), (36, -50.0)]
+
+
+@pytest.mark.parametrize("seed, request_kw", _FROZE, ids=[f"seed{s}-{r}" for s, r in _FROZE])
+def test_out_of_reach_request_saturates_instead_of_freezing(seed, request_kw):
+    net, devices, own_kw = random_feeder(seed)
+    p_set_kw = 3.0 * own_kw if request_kw == "3x" else request_kw
+    scen = _scenario([ScenarioEvent.make(0.0, "set_flexibility", p_set_kw=p_set_kw)], 150.0)
+    log = run_closed_loop(net, devices, scen, ControllerConfig.for_network(net, devices), PlantConfig())
+    assert not [r.qp_status for r in log.records if r.qp_status.startswith("held")]
+    assert log.records[-1].soft_fallback

@@ -1,13 +1,15 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flexloop.controller
 import flexloop.qp
-from flexloop.controller import ControllerConfig
-from flexloop.harness import run_closed_loop
-from flexloop.plant import PlantConfig
+from flexloop.controller import ControllerConfig, Measurement, assemble_projection_qp
+from flexloop.harness import random_feeder, run_closed_loop
+from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.qp import (
     KKT_TOL,
     STATUS_INFEASIBLE,
@@ -17,6 +19,7 @@ from flexloop.qp import (
     kkt_residuals,
     solve_qp,
 )
+from flexloop.sensitivity import compute_sensitivity
 
 from oracles import enumerate_qp
 
@@ -332,14 +335,85 @@ def test_multipliers_are_one_vector_in_row_id_order():
         )
 
 
+def _posed_qp(monkeypatch, seed, p_set_kw, sample):
+    """The projection QP the controller poses at ``sample`` of a closed loop
+    on ``random_feeder(seed)`` with the request ``p_set_kw``."""
+    net, devices, _ = random_feeder(seed)
+    posed = []
+
+    def record(problem, **kwargs):
+        posed.append(problem)
+        return solve_qp(problem, **kwargs)
+
+    monkeypatch.setattr(flexloop.controller, "solve_qp", record)
+    scenario = Scenario("r", 5.0 * max(sample, 1), (ScenarioEvent.make(0.0, "set_flexibility", p_set_kw=p_set_kw),))
+    run_closed_loop(net, devices, scenario, ControllerConfig.for_network(net, devices), PlantConfig())
+    return posed[sample]
+
+
+@pytest.mark.parametrize(
+    "seed, request_kw, sample",
+    [(5, -50.0, 0), (16, 50.0, 0), (18, "3x", 1)],
+    ids=["seed5-minus50", "seed16-plus50", "seed18-3x-own"],
+)
+def test_tracking_row_near_box_rows_softens(monkeypatch, seed, request_kw, sample):
+    # Out-of-reach requests whose tracking row is nearly a combination of
+    # the P box rows (P entries near -1, Q entries below 1e-3). The hard
+    # stage used to end with multipliers near 1e15 and no certificate, so
+    # the loop held with held_max_iter on every sample.
+    if request_kw == "3x":
+        request_kw = 3.0 * random_feeder(seed)[2]
+    p = _posed_qp(monkeypatch, seed, request_kw, sample)
+    sol = solve_qp(p)
+    assert sol.status == STATUS_OPTIMAL and sol.softened
+    # The oracle enumerates the box rows only, which keeps it fast. Dropping
+    # rows relaxes the problem, so a relaxed hard problem without a solution
+    # proves the hard problem has none, and a relaxed soft minimizer that
+    # meets the dropped voltage rows is the soft minimizer.
+    boxes = replace(p, a_in=None, lb_in=None, ub_in=None)
+    assert enumerate_qp(boxes) is None
+    w_soft = enumerate_qp(boxes, soften=True)[0]
+    v = p.alpha * p.a_in @ w_soft
+    assert np.all(p.lb_in - 1e-12 <= v) and np.all(v <= p.ub_in + 1e-12)
+    np.testing.assert_allclose(sol.w, w_soft, rtol=0, atol=1e-9)
+
+
+def test_absurd_tracking_target_leaks_no_warning(lab_net, lab_devices):
+    # b_eq near 1e298 used to overflow in the dual step's ratio test; it is
+    # solved at a power-of-two scale, where the O(1) box bounds are below
+    # the round-off of the data
+    sens = compute_sensitivity(lab_net, lab_devices, np.zeros(4))
+    cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=sens)
+    y = Measurement(v=np.ones(len(cfg.monitored)), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=0.0)
+    p = replace(assemble_projection_qp(np.zeros(4), y, cfg), b_eq=np.array([8.5e297]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_qp(p)
+    assert sol.status == STATUS_OPTIMAL and sol.softened
+    assert np.all(np.isfinite(sol.w)) and np.all(np.isfinite(sol.multipliers))
+
+
+def test_far_bound_leaves_the_scale_alone():
+    # a finite bound on the far side of w = 0, as a device limit of 1e300 kW
+    # gives, never binds: the problem keeps its scale and its tolerances
+    near = QpProblem(g=np.array([-1.0, 0.5]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([0.3]),
+                     lb_box=np.array([0.0, -0.2]), ub_box=np.array([np.inf, 0.2]))
+    far = replace(near, ub_box=np.array([1e298, 0.2]))
+    a, b = solve_qp(near), solve_qp(far)
+    assert np.array_equal(a.w, b.w) and a.active_set == b.active_set == (0, 3)
+    assert (a.stationarity, a.primal, a.complementarity) == (b.stationarity, b.primal, b.complementarity)
+
+
 @st.composite
 def projection_problems(draw):
     """Projection QPs shaped as the controller builds them: at most one
     tracking row, up to three voltage rows with open or finite bounds, and a
     finite box on every entry (two-sided, or pinned where a device has no
-    range). Entries lie on a 1e-3 grid: exact zeros, ties and dependent rows
-    occur, and no coefficient is so small that the oracle's absolute 1e-8
-    feasibility test misjudges it."""
+    range). The tracking row may lie close to a combination of box rows,
+    with entries of at most 3e-3 off them, as a PCC row does whose Q
+    entries are small beside its P entries. Entries lie on a 1e-3 grid:
+    exact zeros, ties and dependent rows occur, and no coefficient is so
+    small that the oracle's absolute 1e-8 feasibility test misjudges it."""
     n = draw(st.integers(1, 4))
 
     def grid(lo, hi):
@@ -353,7 +427,11 @@ def projection_problems(draw):
     ub_box = lb_box + vec(n, st.just(0.0) | grid(0.05, 1.5))
     a_eq = b_eq = eq_soft = None
     if draw(st.booleans()):
-        a_eq = vec(n)[None, :]
+        a_eq = vec(n)
+        if draw(st.booleans()):
+            off = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            a_eq = np.where(off, vec(n, grid(-0.003, 0.003)), a_eq)
+        a_eq = a_eq[None, :]
         b_eq = vec(1)
         eq_soft = np.array([draw(st.booleans())])
     k = draw(st.integers(0, 3))
