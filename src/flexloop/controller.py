@@ -16,6 +16,7 @@ of extrapolating.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,13 @@ class ControllerConfig:
         if sens is not None and (np.shape(sens.dv) != (n_v, p) or np.shape(sens.dpcc) != (p,)):
             raise ValueError(f"sensitivity must map {p} setpoints to {n_v} voltages and the PCC power")
 
+    @cached_property
+    def _projection(self) -> QpProblem:
+        """The projection QP's rows, built at this config's first step."""
+        sens = self.sensitivity
+        return QpProblem(g=np.zeros(len(self.u_min)), alpha=self.alpha, a_eq=sens.dpcc[None, :],
+                         eq_soft=np.array([True]), rho=self.rho, a_in=sens.dv)
+
     @staticmethod
     def for_network(
         net: NetworkModel,
@@ -172,14 +180,9 @@ def assemble_projection_qp(
         raise InvalidMeasurementError("measurement buses or voltages do not match the monitored set")
 
     kappa = cfg.tracking_gain
-    return QpProblem(
+    return cfg._projection.with_sample(
         g=objective_gradient(u),
-        alpha=cfg.alpha,
-        a_eq=sens.dpcc[None, :],
         b_eq=np.array([kappa * (cfg.p_set_pu - y.p_pcc)]),
-        eq_soft=np.array([True]),
-        rho=cfg.rho,
-        a_in=sens.dv,
         lb_in=kappa * (cfg.v_min - y.v),
         ub_in=kappa * (cfg.v_max - y.v),
         lb_box=cfg.u_min - u,
@@ -221,7 +224,7 @@ def _held_record(u, y, cfg, reason: str) -> StepRecord:
 
 
 def controller_step(
-    u: np.ndarray, y: Measurement, cfg: ControllerConfig
+    u: np.ndarray, y: Measurement, cfg: ControllerConfig, warm_start: int = 0
 ) -> tuple[np.ndarray, StepRecord]:
     """One feedback iteration: gradient, projection QP, setpoint update.
 
@@ -231,7 +234,8 @@ def controller_step(
     non-finite entry, if the measurement is invalid (a non-finite or
     unphysical channel, or buses that do not match the monitored set) or if the
     projection has no feasible direction even after softening the tracking
-    row.
+    row. The projection starts from ``warm_start``, the previous record's
+    ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != cfg.u_min.shape or not np.all(np.isfinite(u)):
@@ -240,7 +244,7 @@ def controller_step(
         problem = assemble_projection_qp(u, y, cfg)
     except InvalidMeasurementError:
         return u.copy(), _held_record(u, y, cfg, "held_invalid_measurement")
-    sol: QpSolution = solve_qp(problem)
+    sol: QpSolution = solve_qp(problem, warm_start=warm_start)
     if sol.status != STATUS_OPTIMAL:
         return u.copy(), _held_record(u, y, cfg, f"held_{sol.status}")
 

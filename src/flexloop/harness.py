@@ -215,7 +215,7 @@ def run_closed_loop(
         except PlantDivergedError as exc:
             abort = str(exc)
             break
-        u_next, rec = controller_step(u, y, ctrl_cfg)
+        u_next, rec = controller_step(u, y, ctrl_cfg, records[-1].active_mask if records else 0)
         if plant_cfg.actuation_delay == 0 and not rec.alarm:
             state, y_now = plant.apply_now(state, u_next)
             rec = replace(rec, v=np.array(y_now.v, copy=True), p_pcc=y_now.p_pcc)
@@ -390,7 +390,7 @@ def reference_opf(
     def respond(u, prev=None):
         sol, _, _ = steady_state_response(
             net, devices, u, loads_pu=loads_pu, ev_pu=ev_pu, slack_v=slack_v,
-            x0=None if prev is None else (prev.v_mag, prev.v_ang),
+            x0=None if prev is None else (prev.v_mag, prev.v_ang), droop=droop,
         )
         return sol.v_mag[1:].copy(), sol.pcc_power_pu, sol
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import Measurement
-from .grid import DeviceSet, NetworkModel, add_setpoint_injections, base_injections, droop_law
+from .grid import DeviceSet, DroopLaw, NetworkModel, add_setpoint_injections, base_injections, droop_law
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 
 EVENT_KINDS = {
@@ -146,18 +146,20 @@ def steady_state_response(
     ev_pu: np.ndarray | None = None,
     slack_v: float = 1.0,
     x0: tuple[np.ndarray, np.ndarray] | None = None,
+    droop: DroopLaw | None = None,
 ) -> tuple[PowerFlowSolution, np.ndarray, bool]:
     """Resolve the grid's steady state for given setpoints and disturbances.
 
     One power flow, warm-started from the voltages ``x0`` when given, solves
-    the grid together with every legacy inverter's ``q = Q(V)``. Returns the
-    power-flow solution, the droop outputs at its voltages and ``True``: a
-    power flow that fails raises :class:`PlantDivergedError`, chained to the
-    :class:`PowerFlowError` when it raised one, so there is no other outcome.
+    the grid together with every legacy inverter's ``q = Q(V)`` (``droop``,
+    built here if not given). Returns the power-flow solution, the droop
+    outputs at its voltages and ``True``: a power flow that fails raises
+    :class:`PlantDivergedError`, chained to the :class:`PowerFlowError` when
+    it raised one, so there is no other outcome.
     """
     inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu)
     inj = add_setpoint_injections(inj, net, devices, u_pu)
-    droop = droop_law(net, devices)
+    droop = droop_law(net, devices) if droop is None else droop
     try:
         sol = solve_power_flow(net, inj, slack_v, x0=x0, droop=droop)
     except PowerFlowError as exc:
@@ -177,6 +179,7 @@ class Plant:
         self.devices = devices
         self.config = config
         self._lb, self._ub = devices.setpoint_bounds_pu(net.s_base_va)
+        self._droop = droop_law(net, devices)
 
     def initial_state(self, u0: np.ndarray) -> PlantState:
         """Pre-scenario rest state at ``u0``; requires a solvable power flow.
@@ -252,6 +255,7 @@ class Plant:
         sol, _, _ = steady_state_response(
             self.net, self.devices, applied,
             loads_pu=state.loads, ev_pu=state.ev_power, slack_v=state.slack_v, x0=state.voltages,
+            droop=self._droop,
         )
         return replace(state, voltages=(sol.v_mag, sol.v_ang)), sol.v_mag[1:].copy(), sol.pcc_power_pu
 

@@ -10,17 +10,20 @@ Solves
 with the dual active-set method of Goldfarb and Idnani ("A numerically
 stable dual method for solving strictly convex quadratic programs", Math.
 Programming 27, 1983, sections 3-4) in range-space form. All rows are
-stacked once per solve as ``N w <= h`` in canonical row-id order
+stacked once per problem as ``N w <= h`` in canonical row-id order
 (:meth:`QpProblem.row_labels`): the equality rows, then a (lower, upper)
-pair per two-sided row, then per box entry. The same ids name the active
-set, the most violated row and the entries of the one multiplier vector.
-The Hessian is ``2 I`` plus a low-rank penalty term, so ``H^-1`` is applied
-in closed form. The loop starts at the minimizer on the hard equality rows,
-so it needs no feasible point, and adds the most violated inequality row
-until none is left, keeping one Cholesky factor of ``N_W H^-1 N_W'`` over
-its working rows ``W``. A row whose pivot vanishes against the terms it is
-computed from lies in their span; with no working row to drop for it, the
-rows are infeasible.
+pair per two-sided row, then per box entry; every
+:meth:`QpProblem.with_sample` of it shares ``N`` and only ``h`` changes.
+The same ids name the active set, the most violated row and the entries of
+the one multiplier vector. The Hessian is ``2 I`` plus a low-rank penalty
+term, so ``H^-1`` is applied in closed form. The loop starts at the
+minimizer on the hard equality rows (plus the rows of a warm start's
+earlier active set, as in Ferreau, Bock and Diehl, Int. J. Robust Nonlinear
+Control 18, 2008), so it needs no feasible point, and adds the most violated
+inequality row until none is left, keeping one Cholesky factor of
+``N_W H^-1 N_W'`` over its working rows ``W``. A row whose pivot vanishes
+against the terms it is computed from lies in their span; with no working
+row to drop for it, the rows are infeasible.
 
 Soft equality rows are a fallback: the solver first treats every equality
 as hard; only if that system is infeasible are the rows flagged soft moved
@@ -33,8 +36,10 @@ runs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -48,7 +53,7 @@ KKT_TOL = 1e-8
 ACTIVE_TOL = 1e-7
 DEFAULT_RHO = 1e4  # weight of the soft equality rows' penalty
 
-_HOMOGENEOUS = ("g", "b_eq", "lb_in", "ub_in", "lb_box", "ub_box")  # scaling these scales w
+_PER_SAMPLE = ("g", "b_eq", "lb_in", "ub_in", "lb_box", "ub_box")  # scaling these scales w
 _VIOL_TOL = 0.1 * KKT_TOL  # a row violated by no more than this is met
 _PIVOT_EPS = 1e-11  # a pivot within this share of its terms' size: the row is in the working rows' span
 
@@ -101,24 +106,37 @@ class QpProblem:
         self.lb_box = _as_vector(self.lb_box, p, -np.inf)
         self.ub_box = _as_vector(self.ub_box, p, np.inf)
 
-        if self.a_eq.shape != (m, p) or self.b_eq.shape != (m,):
-            raise ValueError("inconsistent equality dimensions")
-        if self.eq_soft.shape != (m,):
-            raise ValueError("eq_soft must have one flag per equality row")
-        if self.a_in.shape != (k, p):
-            raise ValueError("inconsistent inequality dimensions")
-        if self.lb_in.shape != (k,) or self.ub_in.shape != (k,):
-            raise ValueError("inconsistent inequality bound dimensions")
-        if self.lb_box.shape != (p,) or self.ub_box.shape != (p,):
-            raise ValueError("inconsistent box dimensions")
-        if not all(np.all(np.isfinite(a)) for a in (self.g, self.a_eq, self.b_eq, self.a_in)):
-            raise ValueError("g, a_eq, b_eq and a_in must be finite")
+        want = dict(a_eq=(m, p), b_eq=(m,), eq_soft=(m,), a_in=(k, p), lb_in=(k,), ub_in=(k,), lb_box=(p,), ub_box=(p,))
+        bad = [name for name, shape in want.items() if getattr(self, name).shape != shape]
+        if bad:
+            raise ValueError(f"inconsistent dimensions of {', '.join(bad)} with {p} variables and {m} + {k} rows")
+        if not (np.all(np.isfinite(self.a_eq)) and np.all(np.isfinite(self.a_in))):
+            raise ValueError("a_eq and a_in must be finite")
+        if not all(np.isfinite(x) and x > 0 for x in (self.alpha, self.rho)):
+            raise ValueError("alpha and rho must be positive and finite")
+        self._check_sample()
+
+    def _check_sample(self) -> None:
+        if not (np.all(np.isfinite(self.g)) and np.all(np.isfinite(self.b_eq))):
+            raise ValueError("g and b_eq must be finite")
         if any(np.any(np.isnan(b)) for b in (self.lb_in, self.ub_in, self.lb_box, self.ub_box)):
             raise ValueError("a bound is NaN; an absent bound is +/-inf")
         if np.any(self.lb_in > self.ub_in) or np.any(self.lb_box > self.ub_box):
             raise ValueError("lower bound above upper bound")
-        if not all(np.isfinite(x) and x > 0 for x in (self.alpha, self.rho)):
-            raise ValueError("alpha and rho must be positive and finite")
+
+    def with_sample(self, **sample) -> "QpProblem":
+        """This problem with new ``g``, ``b_eq`` or bounds, sharing its rows,
+        built once. Only the new fields are checked."""
+        q = copy.copy(self)
+        q._rows = self._rows
+        for name, v in sample.items():
+            if name not in _PER_SAMPLE or np.shape(v) != getattr(self, name).shape:
+                raise ValueError(f"{name} is not a per-sample field of this problem's shape")
+            setattr(q, name, np.asarray(v, dtype=float))
+        q._check_sample()
+        return q
+
+    _rows = cached_property(lambda self: _Rows(self))  # the fixed part, built at its first use
 
     @property
     def n(self) -> int:
@@ -180,23 +198,45 @@ class QpSolution:
         return mask
 
 
-def _stacked_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Every constraint row as ``N w <= h`` in canonical row-id order.
-
-    Equality rows read ``N w = h``. Lower rows are negated so every
-    inequality points the same way; an absent bound is ``h = +inf``, a row
-    that is never violated and never binding.
-    """
+def _stacked_rows(p: QpProblem) -> np.ndarray:
+    """``N`` of every constraint row as ``N w <= h`` in canonical row-id
+    order. Equality rows read ``N w = h``. Lower rows are negated so every
+    inequality points the same way."""
     m, k = p.n_eq, p.n_eq + 2 * p.n_in
     N = np.zeros((p.n_rows, p.n))
-    h = np.empty(p.n_rows)
-    N[:m], h[:m] = p.alpha * p.a_eq, p.b_eq
-    N[m:k:2], h[m:k:2] = p.alpha * -p.a_in, -p.lb_in
-    N[m + 1 : k : 2], h[m + 1 : k : 2] = p.alpha * p.a_in, p.ub_in
+    N[:m], N[m:k:2], N[m + 1 : k : 2] = p.alpha * p.a_eq, p.alpha * -p.a_in, p.alpha * p.a_in
     j = np.arange(p.n)
-    N[k + 2 * j, j], h[k::2] = -p.alpha, -p.lb_box
-    N[k + 1 + 2 * j, j], h[k + 1 :: 2] = p.alpha, p.ub_box
-    return N, h
+    N[k + 2 * j, j], N[k + 1 + 2 * j, j] = -p.alpha, p.alpha
+    return N
+
+
+def _rhs(p: QpProblem) -> np.ndarray:  # h of each sample; an absent bound is +inf, never violated or binding
+    m, k = p.n_eq, p.n_eq + 2 * p.n_in
+    h = np.empty(p.n_rows)
+    h[:m], h[m:k:2], h[m + 1 : k : 2], h[k::2], h[k + 1 :: 2] = p.b_eq, -p.lb_in, p.ub_in, -p.lb_box, p.ub_box
+    return h
+
+
+class _Rows:
+    """A problem's fixed part: ``N`` and per stage ``(H^-1, N H^-1,
+    diag(N H^-1 N'))``, the full ``N H^-1 N'`` never formed. ``H`` is ``2 I``,
+    plus ``2 rho Es' Es`` when the soft rows ``Es`` are penalized: by Woodbury
+    ``H^-1 = (I - Es' (I / rho + Es Es')^-1 Es) / 2`` on the rows of an array."""
+
+    def __init__(self, p: QpProblem):
+        self.N = _stacked_rows(p)
+        self.Es, self.rho = self.N[: p.n_eq][p.eq_soft], p.rho
+        self.hard = self._stage(lambda x: 0.5 * x)
+
+    def _stage(self, hinv):
+        NH = hinv(self.N)
+        return hinv, NH, np.einsum("ij,ij->i", self.N, NH)
+
+    @cached_property
+    def soft(self):
+        Es = self.Es
+        K = np.linalg.solve(np.eye(len(Es)) / self.rho + Es @ Es.T, Es)
+        return self._stage(lambda x: 0.5 * (x - (x @ Es.T) @ K))
 
 
 def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray):
@@ -215,74 +255,69 @@ def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray)
     return np.asarray(res.x[:n], dtype=float)
 
 
-def _inverse_hessian(p: QpProblem, soften: bool):
-    """``H^-1`` on the rows of an array, and the free minimizer ``-H^-1 c``.
-    ``H`` is ``2 I``, plus ``2 rho Es' Es`` when the soft rows ``Es`` are
-    penalized: by Woodbury ``H^-1 = (I - Es' (I / rho + Es Es')^-1 Es) / 2``."""
-    if not soften:
-        return (lambda x: 0.5 * x), -p.g
-    Es = p.alpha * p.a_eq[p.eq_soft]
-    K = np.linalg.solve(np.eye(len(Es)) / p.rho + Es @ Es.T, Es)
-
-    def hinv(x):
-        return 0.5 * (x - (x @ Es.T) @ K)
-
-    return hinv, -hinv(2.0 * (p.g - p.rho * (Es.T @ p.b_eq[p.eq_soft])))
-
-
 def _tri(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:  # L^-1 b, or L^-T b with trans=1
     return dtrtrs(L, b, lower=1, trans=trans)[0] if len(b) else b
 
 
-def _dual_solve(hinv, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray, ineq: np.ndarray,
-                max_iter: int):
+def _dual_solve(stage, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray, seed: list[int],
+                ineq: np.ndarray, max_iter: int):
     """Dual active-set loop of Goldfarb and Idnani in range-space form.
 
-    Minimizes ``0.5 w'Hw + c'w`` given ``H^-1`` as ``hinv`` and the free
-    minimizer ``w_free = -H^-1 c``. ``eq_rows`` index the rows of ``N`` held
-    as equalities (one in the span of the earlier ones is skipped); ``ineq``
-    masks the rows held as ``N_i w <= h_i``. ``L`` is the lower Cholesky
-    factor of ``N_W H^-1 N_W'``; a row ``r`` extends it by ``l = L^-1 N_W
-    H^-1 N_r'`` and the pivot ``N_r H^-1 N_r' - |l|^2``, the curvature of the
-    step that adds it. Returns ``(status, w, lam, iterations)`` with ``lam``
-    over all rows of ``N``. Ties go to the lowest row id.
+    Minimizes ``0.5 w'Hw + c'w`` given a :class:`_Rows` stage of ``H`` and
+    the free minimizer ``w_free = -H^-1 c``. It starts from the equality
+    rows ``eq_rows`` and the inequality rows ``seed`` (each skipped if in
+    the span of the earlier ones), less one at a time the seed row of most
+    negative multiplier; ``ineq`` masks the rows held as ``N_i w <= h_i``.
+    ``L`` is the lower Cholesky factor of ``N_W H^-1 N_W'``; a row ``r``
+    extends it by ``l = L^-1 N_W H^-1 N_r'`` and the pivot ``N_r H^-1 N_r' -
+    |l|^2``, the curvature of the step that adds it. Returns ``(status, w,
+    lam, iterations)`` with ``lam`` over all rows of ``N``. Ties go to the
+    lowest row id.
     """
+    _, NH_all, diag = stage
     r_free = N @ w_free - h
     work: list[int] = []
     L = np.zeros((0, 0))
-    NH = np.zeros((0, N.shape[1]))  # the working rows times H^-1
     size = np.zeros(0)  # the root of the diagonal of N_W H^-1 N_W'
 
-    def candidate(row):  # H^-1 N_r', l, the dual direction y and the pivot
-        a = hinv(N[row])
-        col = _tri(L, NH @ N[row])
+    def candidate(row):  # l, the dual direction y and the pivot
+        col = _tri(L, NH_all[work] @ N[row])
         y = -_tri(L, col, trans=1)
-        diag = float(N[row] @ a)
-        pivot = diag - float(col @ col)
+        pivot = diag[row] - float(col @ col)
         # the difference keeps the round-off of the terms it cancels, which
         # grow with y; a pivot within it puts the row in the working rows' span
-        if pivot <= _PIVOT_EPS * (math.sqrt(diag) + np.abs(y) @ size) ** 2:
+        if pivot <= _PIVOT_EPS * (math.sqrt(diag[row]) + np.abs(y) @ size) ** 2:
             pivot = 0.0
-        return a, col, y, pivot
+        return col, y, pivot
 
-    def grow(row, a, col, pivot):  # the factor with one more row
+    def grow(row, col, pivot):  # the factor with one more row
         work.append(row)
         k = len(col)
         out = np.zeros((k + 1, k + 1))
         out[:k, :k], out[k, :k], out[k, k] = L, col, math.sqrt(pivot)
-        return out, np.concatenate((NH, a[None])), np.append(size, math.sqrt(col @ col + pivot))
+        return out, np.append(size, math.sqrt(col @ col + pivot))
+
+    def shrink(k):  # the factor without working row k
+        lam[work.pop(k)] = 0.0
+        rest = np.delete(L, k, axis=0)
+        return dpotrf(rest @ rest.T, lower=1)[0], np.delete(size, k)
 
     def resolve():  # the minimizer on the working rows, by two solves on L
         y = _tri(L, _tri(L, r_free[work]), trans=1)
-        return w_free - y @ NH, y
+        return w_free - y @ NH_all[work], y
 
-    for row in eq_rows:
-        a, col, _, pivot = candidate(row)
+    for row in (*eq_rows, *seed):
+        col, _, pivot = candidate(row)
         if pivot:
-            L, NH, size = grow(row, a, col, pivot)
-    n_eq = len(work)
+            L, size = grow(row, col, pivot)
+    n_eq = int(np.count_nonzero(~ineq[work]))  # the equality rows come first
     lam = np.zeros(N.shape[0])
-    w, lam[work] = resolve()
+    while True:
+        w, lam[work] = resolve()
+        seeded = lam[work[n_eq:]]
+        if not np.any(seeded < 0.0):
+            break
+        L, size = shrink(n_eq + int(np.argmin(seeded)))
     if len(eq_rows) and np.max(np.abs(N[eq_rows] @ w - h[eq_rows])) > _VIOL_TOL:
         return STATUS_INFEASIBLE, w, lam, 0
     row = -1  # the row being added; kept until it joins the working set
@@ -297,7 +332,7 @@ def _dual_solve(hinv, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows:
         if steps == max_iter:
             return STATUS_MAX_ITER, w, lam, steps
         steps += 1
-        a, col, y, pivot = candidate(row)
+        col, y, pivot = candidate(row)
         # a dual step raises lam[row] by t and moves the working multipliers
         # by t * y; the first inequality multiplier to reach zero limits it
         shrinking = np.nonzero(y[n_eq:] < 0.0)[0]
@@ -307,7 +342,7 @@ def _dual_solve(hinv, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows:
             drop = int(np.argmin(ratios))
             t_drop = max(float(ratios[drop]), 0.0)
         if pivot and float(N[row] @ w - h[row]) <= pivot * t_drop:  # the full step adds the row
-            L, NH, size = grow(row, a, col, pivot)
+            L, size = grow(row, col, pivot)
             row = -1
             # re-solve on the new working set so round-off does not build up
             w, y = resolve()
@@ -317,30 +352,10 @@ def _dual_solve(hinv, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows:
         if not np.isfinite(t_drop):  # a spanned row, and nothing to drop for it
             return STATUS_INFEASIBLE, w, lam, steps
         if pivot:  # a partial step, up to the drop
-            w = w - t_drop * (a + y @ NH)
+            w = w - t_drop * (NH_all[row] + y @ NH_all[work])
         lam[work] += t_drop * y
         lam[row] += t_drop
-        k = n_eq + int(shrinking[drop])
-        lam[work.pop(k)] = 0.0
-        L, NH, size = np.delete(L, k, axis=0), np.delete(NH, k, axis=0), np.delete(size, k)
-        L = dpotrf(L @ L.T, lower=1)[0]
-
-
-def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
-    """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
-    grad = 2.0 * (w + p.g)
-    if penalized is not None and np.any(penalized):
-        Es = p.alpha * p.a_eq[penalized]
-        bs = p.b_eq[penalized]
-        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
-    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
-    m = p.n_eq
-    r = N @ w - h  # -inf on absent bounds
-    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
-    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
-    gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
-    comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
-    return stationarity, float(primal), comp
+        L, size = shrink(n_eq + int(shrinking[drop]))
 
 
 def kkt_residuals(
@@ -353,11 +368,23 @@ def kkt_residuals(
     ``penalized`` marks equality rows handled as a quadratic penalty; those
     rows contribute a gradient term instead of a primal residual.
     """
-    N, h = _stacked_rows(p)
-    return _kkt(p, N, h, np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
+    N, h, m = p._rows.N, _rhs(p), p.n_eq
+    w, lam = np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float)
+    grad = 2.0 * (w + p.g)
+    if penalized is not None and np.any(penalized):
+        Es = p.alpha * p.a_eq[penalized]
+        bs = p.b_eq[penalized]
+        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
+    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
+    r = N @ w - h  # -inf on absent bounds
+    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
+    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
+    gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
+    comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
+    return stationarity, float(primal), comp
 
 
-def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
+def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int = 0) -> QpSolution:
     """Solve the projection QP with a certified result.
 
     The returned solution carries the KKT residual triple; for ``optimal``
@@ -368,12 +395,15 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
     allow it) has been tried. As ``w`` scales with ``g`` and the right-hand
     sides, a ``g``, ``b_eq`` or bound excluding ``w = 0`` beyond 2 in size is
     solved and certified at an exact power-of-two scale, free of overflow.
+    Each stage's loop starts from the inequality rows set in the bitmask
+    ``warm_start`` (as :attr:`QpSolution.active_mask`), 0 from none.
     """
     p = problem
     reach = np.concatenate((np.abs(p.g), np.abs(p.b_eq), p.lb_in, -p.ub_in, p.lb_box, -p.ub_box))
     scale = math.ldexp(1.0, max(math.frexp(np.max(reach, initial=0.0))[1] - 1, 0))
     if scale > 1.0:
-        sol = solve_qp(replace(p, **{k: getattr(p, k) / scale for k in _HOMOGENEOUS}), max_iter=max_iter)
+        sol = solve_qp(p.with_sample(**{k: getattr(p, k) / scale for k in _PER_SAMPLE}), max_iter=max_iter,
+                       warm_start=warm_start)
         with np.errstate(over="ignore"):  # what exceeds the float range is inf
             lam = None if sol.multipliers is None else sol.multipliers * scale
             return replace(sol, w=sol.w * scale, stationarity=sol.stationarity * scale, primal=sol.primal * scale,
@@ -381,26 +411,28 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
                            eq_slack=sol.eq_slack * scale)
     if max_iter is None:
         max_iter = 100 + 10 * p.n_rows
-    N, h = _stacked_rows(p)
-    m = p.n_eq
+    rows, h, m = p._rows, _rhs(p), p.n_eq
     ineq = np.isfinite(h)
     ineq[:m] = False
+    bits = np.frombuffer(bin(warm_start)[:1:-1].encode(), np.uint8)[: len(h)] == ord("1")  # bit r is character r
+    seed = np.flatnonzero(bits & ineq[: len(bits)]).tolist()
     cap_iters = 0
 
     for soften in (False, True):
         if soften and not np.any(p.eq_soft):
             break
         eq_rows = np.flatnonzero(~p.eq_soft) if soften else np.arange(m)
-        hinv, w_free = _inverse_hessian(p, soften)
-        status, w, lam, iters = _dual_solve(hinv, w_free, N, h, eq_rows, ineq, max_iter)
+        stage = rows.soft if soften else rows.hard
+        c = p.g - p.rho * (rows.Es.T @ p.b_eq[p.eq_soft]) if soften else p.g
+        status, w, lam, iters = _dual_solve(stage, -stage[0](2.0 * c), rows.N, h, eq_rows, seed, ineq, max_iter)
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        stat, primal, comp = _kkt(p, N, h, w, lam, p.eq_soft if soften else None)
+        stat, primal, comp = kkt_residuals(p, w, lam, penalized=p.eq_soft if soften else None)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
-        binding = np.abs(N @ w - h) <= ACTIVE_TOL
+        binding = np.abs(rows.N @ w - h) <= ACTIVE_TOL
         binding[:m] = ~p.eq_soft if soften else True
         return QpSolution(
             w=w,
@@ -408,14 +440,14 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None) -> QpSolution:
             stationarity=stat, primal=primal, complementarity=comp,
             active_set=tuple(np.flatnonzero(binding).tolist()) if status == STATUS_OPTIMAL else (),
             multipliers=lam,
-            eq_slack=N[:m] @ w - p.b_eq,
+            eq_slack=rows.N[:m] @ w - p.b_eq,
             softened=soften,
             iterations=cap_iters,
         )
 
     # both attempts infeasible: certify with the least-violation point
-    w_lv = _least_violation(N[:m], p.b_eq, N[ineq], h[ineq])
-    r = N @ w_lv - h
+    w_lv = _least_violation(rows.N[:m], p.b_eq, rows.N[ineq], h[ineq])
+    r = rows.N @ w_lv - h
     viol = np.where(ineq, np.maximum(r, 0.0), -np.inf)
     viol[:m] = np.abs(r[:m])
     worst = float(np.max(viol))

@@ -154,26 +154,22 @@ def branch_losses_w(net: NetworkModel, volts: np.ndarray) -> float:
 
 
 def _one_sided_rows(p: QpProblem):
-    """All hard one-sided rows (a, rhs) of a problem, plus hard equalities.
+    """All hard one-sided rows (a, rhs) of a problem, grouped by the bound
+    they come from: one group holds a two-sided row's finite lower and upper
+    row.
 
     Mirrors the canonical constraint structure, including the alpha scaling,
     but is built independently of the solver internals.
     """
-    rows = []
-    for i in range(p.n_in):
-        a = p.alpha * p.a_in[i]
-        if np.isfinite(p.lb_in[i]):
-            rows.append((-a, -p.lb_in[i]))
-        if np.isfinite(p.ub_in[i]):
-            rows.append((a, p.ub_in[i]))
-    for j in range(p.n):
-        e = np.zeros(p.n)
-        e[j] = p.alpha
-        if np.isfinite(p.lb_box[j]):
-            rows.append((-e, -p.lb_box[j]))
-        if np.isfinite(p.ub_box[j]):
-            rows.append((e, p.ub_box[j]))
-    return rows
+    groups = []
+    bounds = [(p.alpha * p.a_in[i], p.lb_in[i], p.ub_in[i]) for i in range(p.n_in)]
+    bounds += [(p.alpha * np.eye(p.n)[j], p.lb_box[j], p.ub_box[j]) for j in range(p.n)]
+    for a, lo, hi in bounds:
+        group = [(-a, -lo)] if np.isfinite(lo) else []
+        group += [(a, hi)] if np.isfinite(hi) else []
+        if group:
+            groups.append(group)
+    return groups
 
 
 def enumerate_qp(p: QpProblem, soften: bool = False):
@@ -182,9 +178,13 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
     Solves every equality-constrained subproblem over subsets of the
     one-sided rows, keeps the feasible candidates and returns the best; the
     strictly convex objective guarantees the true minimizer is among them.
-    Returns None if no subset yields a feasible point.
+    A subset holds at most one row per bound: a bound's lower and upper row
+    together are inconsistent, or, when the two are equal, give the point
+    of either row alone. Feasibility is tested to 1e-8 relative to
+    ``max(1, |w|)``. Returns None if no subset yields a feasible point.
     """
-    rows = _one_sided_rows(p)
+    groups = _one_sided_rows(p)
+    rows = [row for group in groups for row in group]
     n = p.n
     if soften:
         soft = p.eq_soft
@@ -207,7 +207,8 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
             base += p.rho * float(np.dot(r, r))
         return base
 
-    def feasible(w, tol=1e-8):
+    def feasible(w):
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
         if e_hard.size and np.max(np.abs(e_hard @ w - b_hard)) > tol:
             return False
         return all(a @ w <= rhs + tol for a, rhs in rows)
@@ -216,25 +217,29 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
     m_eq = e_hard.shape[0]
     # a zero or dependent equality row leaves room for more one-sided rows
     max_extra = n - np.linalg.matrix_rank(e_hard)
-    for size in range(0, max(0, max_extra) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            a_act = [e_hard[i] for i in range(m_eq)] + [rows[i][0] for i in subset]
-            d_act = [b_hard[i] for i in range(m_eq)] + [rows[i][1] for i in subset]
-            if a_act:
-                A = np.vstack(a_act)
-                d = np.asarray(d_act)
-                K = np.block([[h, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
-                rhs = np.concatenate([-c, d])
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-                w = sol[:n]
-                if np.max(np.abs(A @ w - d)) > 1e-8:
-                    continue
-            else:
-                w = np.linalg.solve(h, -c)
-            if feasible(w):
-                val = objective(w)
-                if best is None or val < best[1] - 1e-12:
-                    best = (w, val)
+    subsets = (
+        itertools.product(*chosen)
+        for size in range(0, max(0, max_extra) + 1)
+        for chosen in itertools.combinations(groups, size)
+    )
+    for subset in itertools.chain.from_iterable(subsets):
+        a_act = [e_hard[i] for i in range(m_eq)] + [a for a, _ in subset]
+        d_act = [b_hard[i] for i in range(m_eq)] + [rhs for _, rhs in subset]
+        if a_act:
+            A = np.vstack(a_act)
+            d = np.asarray(d_act)
+            K = np.block([[h, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
+            rhs = np.concatenate([-c, d])
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            w = sol[:n]
+            if np.max(np.abs(A @ w - d)) > 1e-8 * max(1.0, float(np.max(np.abs(w)))):
+                continue
+        else:
+            w = np.linalg.solve(h, -c)
+        if feasible(w):
+            val = objective(w)
+            if best is None or val < best[1] - 1e-12:
+                best = (w, val)
     return best
 
 

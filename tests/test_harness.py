@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flexloop.controller import ControllerConfig, StepRecord
+import flexloop.harness
+from flexloop.controller import ControllerConfig, StepRecord, controller_step
 from flexloop.grid import Branch, Bus, Fpu, NetworkSpec, build_devices, build_network
 from flexloop.harness import (
     InfeasibleRequestError,
@@ -424,3 +425,33 @@ def test_out_of_reach_request_saturates_instead_of_freezing(seed, request_kw):
     log = run_closed_loop(net, devices, scen, ControllerConfig.for_network(net, devices), PlantConfig())
     assert not [r.qp_status for r in log.records if r.qp_status.startswith("held")]
     assert log.records[-1].soft_fallback
+
+
+def test_warm_started_loop_matches_cold_starts(lab_net, lab_devices, exp_a, monkeypatch):
+    # exp_a at -40 kW, beyond the feeder's reach: the soft stage runs on
+    # nearly every sample and each sample starts from the previous active
+    # set. Starting every sample cold gives the same telemetry.
+    events = tuple(e for e in exp_a.events if e.kind != "set_flexibility")
+    scenario = _scenario(events + (ScenarioEvent.make(10.0, "set_flexibility", p_set_kw=-40.0),), 300.0)
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    warm = run_closed_loop(lab_net, lab_devices, scenario, cfg, PlantConfig()).to_csv()
+    monkeypatch.setattr(flexloop.harness, "controller_step", lambda u, y, c, warm_start=0: controller_step(u, y, c))
+    cold = run_closed_loop(lab_net, lab_devices, scenario, cfg, PlantConfig()).to_csv()
+    warm_rows = [line.split(",") for line in warm.splitlines()]
+    cold_rows = [line.split(",") for line in cold.splitlines()]
+    assert warm_rows[0] == cold_rows[0] and len(warm_rows) == len(cold_rows) == 62
+    assert all(row[-4] != "0" for row in warm_rows[1:])  # every sample has an active set to start from
+    for a, b in zip(warm_rows[1:], cold_rows[1:]):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            if x != y:  # only a float cell may differ, and only by round-off
+                assert isinstance(_cell(x), float) and abs(float(x) - float(y)) <= 1e-11
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text

@@ -315,6 +315,30 @@ def test_rows_stacked_once_per_solve(monkeypatch):
     assert {(STATUS_OPTIMAL, True), (STATUS_INFEASIBLE, False)} <= statuses
 
 
+def test_rows_stacked_once_per_controller_config(monkeypatch, lab_net, lab_devices, exp_a):
+    # the controller poses each sample's QP on rows its config built once:
+    # exp_a runs on two configs, before and after its request at 10 s
+    calls = []
+    stacked_rows = flexloop.qp._stacked_rows
+    monkeypatch.setattr(flexloop.qp, "_stacked_rows", lambda p: calls.append(p) or stacked_rows(p))
+    sens = compute_sensitivity(lab_net, lab_devices, np.zeros(4))
+    cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=sens)
+    log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
+    assert len(log.records) == 41 and len(calls) == 2
+
+
+def test_with_sample_checks_only_the_sample():
+    p = QpProblem(g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([0.5]), ub_box=np.array([1.0, 1.0]))
+    q = p.with_sample(g=np.array([1.0, -1.0]), lb_box=np.array([-2.0, -2.0]))
+    assert q._rows is p._rows and np.array_equal(p.g, [0.0, 0.0])
+    fresh = replace(q)
+    assert np.array_equal(solve_qp(q).w, solve_qp(fresh).w)
+    for bad in (dict(g=np.array([np.nan, 0.0])), dict(lb_box=np.array([2.0, 0.0])), dict(g=np.zeros(3)),
+                dict(alpha=2.0)):
+        with pytest.raises(ValueError):
+            p.with_sample(**bad)
+
+
 def test_multipliers_are_one_vector_in_row_id_order():
     rng = np.random.default_rng(42)
     for trial in range(60):
@@ -412,8 +436,7 @@ def projection_problems(draw):
     range). The tracking row may lie close to a combination of box rows,
     with entries of at most 3e-3 off them, as a PCC row does whose Q
     entries are small beside its P entries. Entries lie on a 1e-3 grid:
-    exact zeros, ties and dependent rows occur, and no coefficient is so
-    small that the oracle's absolute 1e-8 feasibility test misjudges it."""
+    exact zeros, ties and dependent rows occur."""
     n = draw(st.integers(1, 4))
 
     def grid(lo, hi):
@@ -473,3 +496,33 @@ def test_no_lp_on_feasible_problems(monkeypatch, lab_net, lab_devices, exp_a):
     for trial in range(40):
         p = _random_problem(rng, int(rng.integers(2, 7)), with_eq=trial % 2 == 0, soft=trial % 4 == 0)
         assert solve_qp(p).status == STATUS_OPTIMAL
+
+
+def test_oracle_feasibility_is_relative_to_w():
+    # the softened optimum sits at w2 = 545, where an absolute 1e-8 test of
+    # the pinned row read the oracle's own round-off as a violation
+    p = QpProblem(
+        g=np.zeros(2), alpha=0.334, a_eq=np.array([[0.05, 0.345]]), b_eq=np.array([0.0]),
+        eq_soft=np.array([True]), a_in=np.array([[0.0, 0.001]]), lb_in=np.array([0.182]),
+        ub_in=np.array([0.182]), lb_box=np.array([0.0, -np.inf]), ub_box=np.array([0.0, np.inf]),
+    )
+    assert enumerate_qp(p) is None
+    w_soft = enumerate_qp(p, soften=True)[0]
+    assert w_soft[1] == pytest.approx(545.0, abs=0.5)
+    sol = solve_qp(p)
+    assert sol.status == STATUS_OPTIMAL and sol.softened
+    np.testing.assert_allclose(sol.w, w_soft, rtol=0, atol=1e-7 * 545.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_problems(), st.data())
+def test_property_warm_start_solves_the_cold_problem(p, data):
+    rows = data.draw(st.sets(st.integers(0, p.n_rows - 1)))
+    cold = solve_qp(p)
+    warm = solve_qp(p, warm_start=sum(1 << r for r in rows))
+    assert (warm.status, warm.softened) == (cold.status, cold.softened)
+    if cold.status == STATUS_OPTIMAL:
+        assert warm.active_set == cold.active_set
+        np.testing.assert_allclose(warm.w, cold.w, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(cold.w))))
+    else:
+        assert warm.most_violated == cold.most_violated
