@@ -117,12 +117,10 @@ class QpProblem:
         self._check_sample()
 
     def _check_sample(self) -> None:
-        if not (np.all(np.isfinite(self.g)) and np.all(np.isfinite(self.b_eq))):
+        if not np.isfinite(np.concatenate((self.g, self.b_eq))).all():
             raise ValueError("g and b_eq must be finite")
-        if any(np.any(np.isnan(b)) for b in (self.lb_in, self.ub_in, self.lb_box, self.ub_box)):
-            raise ValueError("a bound is NaN; an absent bound is +/-inf")
-        if np.any(self.lb_in > self.ub_in) or np.any(self.lb_box > self.ub_box):
-            raise ValueError("lower bound above upper bound")
+        if not (np.concatenate((self.lb_in, self.lb_box)) <= np.concatenate((self.ub_in, self.ub_box))).all():
+            raise ValueError("a bound is NaN or a lower bound is above its upper one; an absent bound is +/-inf")
 
     def with_sample(self, **sample) -> "QpProblem":
         """This problem with new ``g``, ``b_eq`` or bounds, sharing its rows,
@@ -218,8 +216,8 @@ def _rhs(p: QpProblem) -> np.ndarray:  # h of each sample; an absent bound is +i
 
 
 class _Rows:
-    """A problem's fixed part: ``N`` and per stage ``(H^-1, N H^-1,
-    diag(N H^-1 N'))``, the full ``N H^-1 N'`` never formed. ``H`` is ``2 I``,
+    """A problem's fixed part: ``N`` and per stage ``(H^-1, N H^-1)``, the
+    full ``N H^-1 N'`` never formed. ``H`` is ``2 I``,
     plus ``2 rho Es' Es`` when the soft rows ``Es`` are penalized: by Woodbury
     ``H^-1 = (I - Es' (I / rho + Es Es')^-1 Es) / 2`` on the rows of an array."""
 
@@ -229,8 +227,7 @@ class _Rows:
         self.hard = self._stage(lambda x: 0.5 * x)
 
     def _stage(self, hinv):
-        NH = hinv(self.N)
-        return hinv, NH, np.einsum("ij,ij->i", self.N, NH)
+        return hinv, hinv(self.N)
 
     @cached_property
     def soft(self):
@@ -259,12 +256,12 @@ def _tri(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:  # L^-1 b,
     return dtrtrs(L, b, lower=1, trans=trans)[0] if len(b) else b
 
 
-def _dual_solve(stage, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray, seed: list[int],
-                ineq: np.ndarray, max_iter: int):
+def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray,
+                seed: list[int], ineq: np.ndarray, max_iter: int):
     """Dual active-set loop of Goldfarb and Idnani in range-space form.
 
-    Minimizes ``0.5 w'Hw + c'w`` given a :class:`_Rows` stage of ``H`` and
-    the free minimizer ``w_free = -H^-1 c``. It starts from the equality
+    Minimizes ``0.5 w'Hw + c'w`` given ``N H^-1`` as ``NH_all`` and the free
+    minimizer ``w_free = -H^-1 c``. It starts from the equality
     rows ``eq_rows`` and the inequality rows ``seed`` (each skipped if in
     the span of the earlier ones), less one at a time the seed row of most
     negative multiplier; ``ineq`` masks the rows held as ``N_i w <= h_i``.
@@ -274,7 +271,6 @@ def _dual_solve(stage, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows
     lam, iterations)`` with ``lam`` over all rows of ``N``. Ties go to the
     lowest row id.
     """
-    _, NH_all, diag = stage
     r_free = N @ w_free - h
     work: list[int] = []
     L = np.zeros((0, 0))
@@ -283,10 +279,11 @@ def _dual_solve(stage, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows
     def candidate(row):  # l, the dual direction y and the pivot
         col = _tri(L, NH_all[work] @ N[row])
         y = -_tri(L, col, trans=1)
-        pivot = diag[row] - float(col @ col)
+        diag = float(N[row] @ NH_all[row])
+        pivot = diag - float(col @ col)
         # the difference keeps the round-off of the terms it cancels, which
         # grow with y; a pivot within it puts the row in the working rows' span
-        if pivot <= _PIVOT_EPS * (math.sqrt(diag[row]) + np.abs(y) @ size) ** 2:
+        if pivot <= _PIVOT_EPS * (math.sqrt(diag) + np.abs(y) @ size) ** 2:
             pivot = 0.0
         return col, y, pivot
 
@@ -368,8 +365,11 @@ def kkt_residuals(
     ``penalized`` marks equality rows handled as a quadratic penalty; those
     rows contribute a gradient term instead of a primal residual.
     """
-    N, h, m = p._rows.N, _rhs(p), p.n_eq
-    w, lam = np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float)
+    return _kkt(p, _rhs(p), np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
+
+
+def _kkt(p: QpProblem, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):  # given the sample's h
+    N, m = p._rows.N, p.n_eq
     grad = 2.0 * (w + p.g)
     if penalized is not None and np.any(penalized):
         Es = p.alpha * p.a_eq[penalized]
@@ -414,21 +414,21 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
     rows, h, m = p._rows, _rhs(p), p.n_eq
     ineq = np.isfinite(h)
     ineq[:m] = False
-    bits = np.frombuffer(bin(warm_start)[:1:-1].encode(), np.uint8)[: len(h)] == ord("1")  # bit r is character r
-    seed = np.flatnonzero(bits & ineq[: len(bits)]).tolist()
+    bits = np.frombuffer(bin(warm_start)[:1:-1].encode(), np.uint8)[: len(h)] == ord("1")  # bit r: character r
+    seed = np.flatnonzero(bits & ineq[: len(bits)]).tolist() if warm_start else []
     cap_iters = 0
 
     for soften in (False, True):
         if soften and not np.any(p.eq_soft):
             break
         eq_rows = np.flatnonzero(~p.eq_soft) if soften else np.arange(m)
-        stage = rows.soft if soften else rows.hard
+        hinv, NH = rows.soft if soften else rows.hard
         c = p.g - p.rho * (rows.Es.T @ p.b_eq[p.eq_soft]) if soften else p.g
-        status, w, lam, iters = _dual_solve(stage, -stage[0](2.0 * c), rows.N, h, eq_rows, seed, ineq, max_iter)
+        status, w, lam, iters = _dual_solve(NH, -hinv(2.0 * c), rows.N, h, eq_rows, seed, ineq, max_iter)
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        stat, primal, comp = kkt_residuals(p, w, lam, penalized=p.eq_soft if soften else None)
+        stat, primal, comp = _kkt(p, h, w, lam, p.eq_soft if soften else None)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
