@@ -217,9 +217,9 @@ def _rhs(p: QpProblem) -> np.ndarray:  # h of each sample; an absent bound is +i
 
 class _Rows:
     """A problem's fixed part: ``N`` and per stage ``(H^-1, N H^-1)``, the
-    full ``N H^-1 N'`` never formed. ``H`` is ``2 I``,
-    plus ``2 rho Es' Es`` when the soft rows ``Es`` are penalized: by Woodbury
-    ``H^-1 = (I - Es' (I / rho + Es Es')^-1 Es) / 2`` on the rows of an array."""
+    full ``N H^-1 N'`` never formed. ``H`` is ``2 I``, plus ``2 rho Es' Es``
+    when the soft rows ``Es`` are penalized: by Woodbury ``H^-1 = (I - Es'
+    (I / rho + Es Es')^-1 Es) / 2``, applied to the rows of an array."""
 
     def __init__(self, p: QpProblem):
         self.N = _stacked_rows(p)
