@@ -113,9 +113,8 @@ class ControllerConfig:
     @cached_property
     def _projection(self) -> QpProblem:
         """The projection QP's rows, built at this config's first step."""
-        sens = self.sensitivity
-        return QpProblem(g=np.zeros(len(self.u_min)), alpha=self.alpha, a_eq=sens.dpcc[None, :],
-                         eq_soft=np.array([True]), rho=self.rho, a_in=sens.dv)
+        return QpProblem(g=np.zeros(len(self.u_min)), alpha=self.alpha, a_eq=self.sensitivity.dpcc[None, :],
+                         eq_soft=np.array([True]), rho=self.rho, a_in=self.sensitivity.dv)
 
     @staticmethod
     def for_network(

@@ -12,18 +12,18 @@ stable dual method for solving strictly convex quadratic programs", Math.
 Programming 27, 1983, sections 3-4) in range-space form. All rows are
 stacked once per problem as ``N w <= h`` in canonical row-id order
 (:meth:`QpProblem.row_labels`): the equality rows, then a (lower, upper)
-pair per two-sided row, then per box entry; every
-:meth:`QpProblem.with_sample` of it shares ``N`` and only ``h`` changes.
-The same ids name the active set, the most violated row and the entries of
-the one multiplier vector. The Hessian is ``2 I`` plus a low-rank penalty
-term, so ``H^-1`` is applied in closed form. The loop starts at the
-minimizer on the hard equality rows (plus the rows of a warm start's
-earlier active set, as in Ferreau, Bock and Diehl, Int. J. Robust Nonlinear
-Control 18, 2008), so it needs no feasible point, and adds the most violated
-inequality row until none is left, keeping one Cholesky factor of
-``N_W H^-1 N_W'`` over its working rows ``W``. A row whose pivot vanishes
-against the terms it is computed from lies in their span; with no working
-row to drop for it, the rows are infeasible.
+pair per two-sided row, then per box entry; the copies
+:meth:`QpProblem.with_sample` makes share ``N``. The same ids name the
+active set, the most violated row and the entries of the one multiplier
+vector. The Hessian is ``2 I`` plus a low-rank penalty term, so ``H^-1`` is
+applied in closed form. The loop starts at the minimizer on the hard
+equality rows (plus the rows of a warm start's earlier active set, as in
+Ferreau, Bock and Diehl, Int. J. Robust Nonlinear Control 18, 2008), so it
+needs no feasible point, and adds the most violated inequality row until
+none is left, keeping one Cholesky factor of ``N_W H^-1 N_W'`` over its
+working rows ``W``. A row whose pivot vanishes against the terms it is
+computed from lies in their span; with no working row to drop for it, the
+rows are infeasible.
 
 Soft equality rows are a fallback: the solver first treats every equality
 as hard; only if that system is infeasible are the rows flagged soft moved
@@ -261,10 +261,10 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
     """Dual active-set loop of Goldfarb and Idnani in range-space form.
 
     Minimizes ``0.5 w'Hw + c'w`` given ``N H^-1`` as ``NH_all`` and the free
-    minimizer ``w_free = -H^-1 c``. It starts from the equality
-    rows ``eq_rows`` and the inequality rows ``seed`` (each skipped if in
-    the span of the earlier ones), less one at a time the seed row of most
-    negative multiplier; ``ineq`` masks the rows held as ``N_i w <= h_i``.
+    minimizer ``w_free = -H^-1 c``. It starts from the equality rows
+    ``eq_rows`` and the inequality rows ``seed`` (each skipped if in the span
+    of the earlier ones), less one at a time the seed row of most negative
+    multiplier; ``ineq`` masks the rows held as ``N_i w <= h_i``.
     ``L`` is the lower Cholesky factor of ``N_W H^-1 N_W'``; a row ``r``
     extends it by ``l = L^-1 N_W H^-1 N_r'`` and the pivot ``N_r H^-1 N_r' -
     |l|^2``, the curvature of the step that adds it. Returns ``(status, w,
@@ -355,6 +355,23 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
         L, size = shrink(n_eq + int(shrinking[drop]))
 
 
+def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
+    """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
+    grad = 2.0 * (w + p.g)
+    if penalized is not None and np.any(penalized):
+        Es = p.alpha * p.a_eq[penalized]
+        bs = p.b_eq[penalized]
+        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
+    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
+    m = p.n_eq
+    r = N @ w - h  # -inf on absent bounds
+    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
+    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
+    gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
+    comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
+    return stationarity, float(primal), comp
+
+
 def kkt_residuals(
     p: QpProblem, w: np.ndarray, multipliers: np.ndarray, *, penalized: np.ndarray | None = None
 ) -> tuple[float, float, float]:
@@ -365,23 +382,7 @@ def kkt_residuals(
     ``penalized`` marks equality rows handled as a quadratic penalty; those
     rows contribute a gradient term instead of a primal residual.
     """
-    return _kkt(p, _rhs(p), np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
-
-
-def _kkt(p: QpProblem, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):  # given the sample's h
-    N, m = p._rows.N, p.n_eq
-    grad = 2.0 * (w + p.g)
-    if penalized is not None and np.any(penalized):
-        Es = p.alpha * p.a_eq[penalized]
-        bs = p.b_eq[penalized]
-        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
-    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
-    r = N @ w - h  # -inf on absent bounds
-    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
-    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
-    gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
-    comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
-    return stationarity, float(primal), comp
+    return _kkt(p, p._rows.N, _rhs(p), np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
 
 
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int = 0) -> QpSolution:
@@ -428,7 +429,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        stat, primal, comp = _kkt(p, h, w, lam, p.eq_soft if soften else None)
+        stat, primal, comp = _kkt(p, rows.N, h, w, lam, p.eq_soft if soften else None)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
