@@ -16,7 +16,6 @@ from .controller import (
     assemble_projection_qp,
     controller_step,
     objective_gradient,
-    set_flexibility_request,
 )
 from .grid import (
     Branch,

@@ -8,14 +8,14 @@ of the requested PCC exchange against minimal actuation, with measured (not
 modeled) voltages in the constraint rows.
 
 Safety rules baked in: the emitted setpoints always satisfy the device
-boxes exactly; on an invalid measurement or an infeasible projection the
+boxes exactly; on an invalid input or an infeasible projection the
 controller holds the previous setpoints and raises an alarm record instead
-of extrapolating.
+of extrapolating, and never an exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,13 +28,21 @@ DEFAULT_ALPHA = 0.3
 DEFAULT_BAND = 0.05  # +/- around nominal voltage, p.u.
 DEFAULT_TRACKING_GAIN = 0.85
 SLACK_FLAG_TOL = 1e-6  # p.u.; equality slack above this is flagged
-MAX_MEASURED_PU = 1e3  # |v| or |p_pcc| above this is no physical reading
+MAX_MEASURED_PU = 1e3  # |v|, |p_pcc|, |p_set| or |u| above this is no physical value
 
 
 class InvalidMeasurementError(ValueError):
-    """Measurement has a non-finite or unphysical channel (beyond
-    ``MAX_MEASURED_PU``), or its buses or voltage vector do not match the
-    monitored set. Timestamps are not checked."""
+    """Measurement or PCC request has a non-finite or unphysical channel
+    (beyond ``MAX_MEASURED_PU``), or the measured buses or voltage vector
+    do not match the monitored set. Timestamps are not checked."""
+
+
+def check_request(p_set_pu: float) -> None:
+    """Raise :class:`InvalidMeasurementError` unless the PCC request (p.u.) is finite and within ``MAX_MEASURED_PU``."""
+    if not abs(p_set_pu) <= MAX_MEASURED_PU:
+        raise InvalidMeasurementError(
+            f"PCC power request must be finite and within {MAX_MEASURED_PU:g} p.u., got {p_set_pu:g} p.u."
+        )
 
 
 @dataclass(frozen=True)
@@ -65,17 +73,15 @@ class Measurement:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuning, limits and model information for the feedback loop."""
+    """Tuning, limits and model information, fixed for a run (the request is a per-sample input)."""
 
     alpha: float
     rho: float
-    p_set_pu: float
     monitored: tuple[int, ...]
     v_min: np.ndarray
     v_max: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    s_base_va: float
     sensitivity: SensitivityMatrix | None = None
     # Fraction of the measured gap the sensitivity-based rows (PCC tracking
     # and voltage band) close per step. 1.0 is a one-step (deadbeat)
@@ -91,10 +97,6 @@ class ControllerConfig:
             raise ValueError(f"step size alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.rho < np.inf:
             raise ValueError(f"soft-equality weight rho must be positive and finite, got {self.rho}")
-        if not abs(self.p_set_pu) <= MAX_MEASURED_PU:
-            raise ValueError(
-                f"PCC power request must be finite and within {MAX_MEASURED_PU:g} p.u., got {self.p_set_pu:g} p.u."
-            )
         if not (np.all(np.isfinite(self.v_min)) and np.all(np.isfinite(self.v_max))):
             raise ValueError("voltage band limits must be finite")
         if np.any(self.v_min >= self.v_max):
@@ -106,13 +108,16 @@ class ControllerConfig:
         n_v, p = len(self.monitored), len(self.u_min)
         if not np.shape(self.v_min) == np.shape(self.v_max) == (n_v,) or np.shape(self.u_max) != (p,):
             raise ValueError("voltage band or setpoint box does not match the monitored buses or setpoints")
+        if not np.all(self.u_min <= self.u_max):
+            raise ValueError("setpoint box is empty or NaN at some entry")
         sens = self.sensitivity
         if sens is not None and (np.shape(sens.dv) != (n_v, p) or np.shape(sens.dpcc) != (p,)):
             raise ValueError(f"sensitivity must map {p} setpoints to {n_v} voltages and the PCC power")
 
     @cached_property
     def _projection(self) -> QpProblem:
-        """The projection QP's rows, built at this config's first step."""
+        """The projection QP's rows, built at this config's first step, so
+        once per run."""
         return QpProblem(g=np.zeros(len(self.u_min)), alpha=self.alpha, a_eq=self.sensitivity.dpcc[None, :],
                          eq_soft=np.array([True]), rho=self.rho, a_in=self.sensitivity.dv)
 
@@ -123,7 +128,6 @@ class ControllerConfig:
         *,
         alpha: float = DEFAULT_ALPHA,
         rho: float = DEFAULT_RHO,
-        p_set_kw: float = 0.0,
         band: float = DEFAULT_BAND,
         sensitivity: SensitivityMatrix | None = None,
         tracking_gain: float = DEFAULT_TRACKING_GAIN,
@@ -133,21 +137,14 @@ class ControllerConfig:
         return ControllerConfig(
             alpha=alpha,
             rho=rho,
-            p_set_pu=p_set_kw * 1e3 / net.s_base_va,
             monitored=monitored,
             v_min=np.full(len(monitored), 1.0 - band),
             v_max=np.full(len(monitored), 1.0 + band),
             u_min=u_min,
             u_max=u_max,
-            s_base_va=net.s_base_va,
             sensitivity=sensitivity,
             tracking_gain=tracking_gain,
         )
-
-
-def set_flexibility_request(cfg: ControllerConfig, p_set_kw: float) -> ControllerConfig:
-    """New config with an updated PCC target; applies from the next step."""
-    return replace(cfg, p_set_pu=p_set_kw * 1e3 / cfg.s_base_va)
 
 
 def objective_gradient(u: np.ndarray) -> np.ndarray:
@@ -158,30 +155,25 @@ def objective_gradient(u: np.ndarray) -> np.ndarray:
 
 
 def assemble_projection_qp(
-    u: np.ndarray, y: Measurement, cfg: ControllerConfig
+    u: np.ndarray, y: Measurement, p_set_pu: float, cfg: ControllerConfig
 ) -> QpProblem:
-    """Build the projection QP from the current setpoints and measurement.
+    """Build the projection QP from the setpoints, measurement and request,
+    on the rows of ``cfg``, which must carry a sensitivity.
 
     Box rows keep ``u + alpha w`` inside the device limits, two-sided rows
     keep the linearized voltages inside the band around the measured values,
-    and the (soft) equality row pins the linearized PCC power to the target.
+    and the (soft) equality row pins the linearized PCC power to the request.
     """
     if not y.all_valid:
         raise InvalidMeasurementError("measurement has invalid channels")
-    sens = cfg.sensitivity
-    if sens is None:
-        raise ValueError("controller config carries no sensitivity matrix")
-    u = np.asarray(u, dtype=float)
-    p = sens.n_setpoints
-    if u.shape != (p,):
-        raise ValueError(f"setpoint vector must have shape ({p},)")
+    check_request(p_set_pu)
     if y.bus_ids != cfg.monitored or y.v.shape != (len(y.bus_ids),):
         raise InvalidMeasurementError("measurement buses or voltages do not match the monitored set")
 
     kappa = cfg.tracking_gain
     return cfg._projection.with_sample(
         g=objective_gradient(u),
-        b_eq=np.array([kappa * (cfg.p_set_pu - y.p_pcc)]),
+        b_eq=np.array([kappa * (p_set_pu - y.p_pcc)]),
         lb_in=kappa * (cfg.v_min - y.v),
         ub_in=kappa * (cfg.v_max - y.v),
         lb_box=cfg.u_min - u,
@@ -206,59 +198,44 @@ class StepRecord:
     alarm: bool
 
 
-def _held_record(u, y, cfg, reason: str) -> StepRecord:
+def _record(u, y, p_set_pu, status: str, eq_slack=float("nan"), active_mask=0, soft_fallback=False) -> StepRecord:
+    """A step's telemetry; a ``held_*`` status is an alarm."""
     return StepRecord(
-        iteration=-1,
-        timestamp=y.timestamp,
-        u=np.array(u, copy=True),
-        v=np.array(y.v, copy=True),
-        p_pcc=y.p_pcc,
-        p_set=cfg.p_set_pu,
-        qp_status=reason,
-        eq_slack=float("nan"),
-        active_mask=0,
-        soft_fallback=False,
-        alarm=True,
+        iteration=-1, timestamp=y.timestamp, u=u.copy(), v=np.array(y.v, copy=True), p_pcc=y.p_pcc,
+        p_set=p_set_pu, qp_status=status, eq_slack=eq_slack, active_mask=active_mask,
+        soft_fallback=soft_fallback, alarm=status.startswith("held_"),
     )
 
 
 def controller_step(
-    u: np.ndarray, y: Measurement, cfg: ControllerConfig, warm_start: int = 0
+    u: np.ndarray, y: Measurement, p_set_pu: float, cfg: ControllerConfig, warm_start: int = 0
 ) -> tuple[np.ndarray, StepRecord]:
-    """One feedback iteration: gradient, projection QP, setpoint update.
+    """One feedback iteration toward the PCC request ``p_set_pu`` (p.u.).
 
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
-    exactly; holds with an alarm if the setpoints have the wrong shape or a
-    non-finite entry, if the measurement is invalid (a non-finite or
-    unphysical channel, or buses that do not match the monitored set) or if the
-    projection has no feasible direction even after softening the tracking
-    row. The projection starts from ``warm_start``, the previous record's
-    ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
+    exactly. Given a real-number request it raises nothing: it holds with an
+    alarm if the setpoints have the wrong shape or an entry beyond
+    ``MAX_MEASURED_PU``, if the config has no sensitivity, if the
+    measurement or request is invalid (a non-finite or unphysical channel,
+    or buses that do not match the monitored set) or if the projection has
+    no feasible direction even after softening the tracking row. The projection starts from ``warm_start``, the previous
+    record's ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != cfg.u_min.shape or not np.all(np.isfinite(u)):
-        return u.copy(), _held_record(u, y, cfg, "held_invalid_setpoints")
+    if u.shape != cfg.u_min.shape or not np.all(np.abs(u) <= MAX_MEASURED_PU):
+        return u.copy(), _record(u, y, p_set_pu, "held_invalid_setpoints")
+    if cfg.sensitivity is None:
+        return u.copy(), _record(u, y, p_set_pu, "held_invalid_config")
     try:
-        problem = assemble_projection_qp(u, y, cfg)
+        problem = assemble_projection_qp(u, y, p_set_pu, cfg)
     except InvalidMeasurementError:
-        return u.copy(), _held_record(u, y, cfg, "held_invalid_measurement")
+        return u.copy(), _record(u, y, p_set_pu, "held_invalid_measurement")
     sol: QpSolution = solve_qp(problem, warm_start=warm_start)
     if sol.status != STATUS_OPTIMAL:
-        return u.copy(), _held_record(u, y, cfg, f"held_{sol.status}")
+        return u.copy(), _record(u, y, p_set_pu, f"held_{sol.status}")
 
     u_next = np.clip(u + cfg.alpha * sol.w, cfg.u_min, cfg.u_max)
     slack = float(np.max(np.abs(sol.eq_slack), initial=0.0))
-    return u_next, StepRecord(
-        iteration=-1,
-        timestamp=y.timestamp,
-        u=u_next,
-        v=np.array(y.v, copy=True),
-        p_pcc=y.p_pcc,
-        p_set=cfg.p_set_pu,
-        qp_status=sol.status,
-        eq_slack=slack,
-        active_mask=sol.active_mask,
-        soft_fallback=sol.softened and slack > SLACK_FLAG_TOL,
-        alarm=False,
-    )
+    return u_next, _record(u_next, y, p_set_pu, sol.status, slack, sol.active_mask,
+                           sol.softened and slack > SLACK_FLAG_TOL)

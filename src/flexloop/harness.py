@@ -18,11 +18,12 @@ import numpy as np
 
 from .controller import (
     ControllerConfig,
+    InvalidMeasurementError,
     Measurement,
     StepRecord,
     assemble_projection_qp,
+    check_request,
     controller_step,
-    set_flexibility_request,
 )
 from .grid import (
     DeviceSet, NetworkModel, Branch, Bus, Fpu, Load, NetworkSpec, build_devices, build_network, droop_law,
@@ -89,9 +90,6 @@ class TelemetryLog:
     def tracking_error_kw(self) -> np.ndarray:
         s = self.s_base_va / 1e3
         return np.array([(r.p_pcc - r.p_set) * s for r in self.records])
-
-    def p_pcc_kw(self) -> np.ndarray:
-        return np.array([r.p_pcc for r in self.records]) * self.s_base_va / 1e3
 
     def voltages_pu(self) -> np.ndarray:
         return np.vstack([r.v for r in self.records])
@@ -172,10 +170,11 @@ def run_closed_loop(
     """Run the feedback loop over one scenario.
 
     The loop starts from zero setpoints, where the sensitivity map is
-    computed unless the config already carries one. A run of more than
-    ``MAX_SAMPLES`` samples is refused, every plant event is applied once to
-    the rest state and every request to the config first, so such a run, a
-    target without its device or a request the config rejects raises
+    computed unless the config already carries one, and the PCC request is
+    0 until the first request event. A run of more than ``MAX_SAMPLES``
+    samples is refused, every plant event is applied once to the rest state
+    and every request is checked first, so such a run, a target without its
+    device or an unphysical request raises
     :class:`~flexloop.plant.ScenarioError` before the first sample.
     Controller alarms are logged and the run continues; a diverging plant
     truncates the log with an abort reason.
@@ -187,12 +186,12 @@ def run_closed_loop(
     plant = Plant(net, devices, plant_cfg)
     state = plant.initial_state(u)
     plant.apply_events(state, [e for e in scenario.events if e.kind in PLANT_EVENT_KINDS])
-    for e in scenario.events:
-        if e.kind == "set_flexibility":
-            try:
-                set_flexibility_request(ctrl_cfg, e.get("p_set_kw"))
-            except ValueError as exc:
-                raise ScenarioError(f"set_flexibility at {e.time_s:g} s: {exc}") from None
+    requests = {e: e.get("p_set_kw") * 1e3 / net.s_base_va for e in scenario.events if e.kind == "set_flexibility"}
+    for e, p in requests.items():
+        try:
+            check_request(p)
+        except InvalidMeasurementError as exc:
+            raise ScenarioError(f"set_flexibility at {e.time_s:g} s: {exc}") from None
 
     if ctrl_cfg.sensitivity is None:
         sens = compute_sensitivity(net, devices, u)
@@ -201,13 +200,14 @@ def run_closed_loop(
     n_samples = int(round(scenario.duration_s / dt)) + 1
     records: list[StepRecord] = []
     abort = None
+    p_set_pu = 0.0
     for k in range(n_samples):
         t_k = k * dt
         due = schedule(scenario.events, t_k - dt, t_k)
         phys = []
         for e in due:
             if e.kind == "set_flexibility":
-                ctrl_cfg = set_flexibility_request(ctrl_cfg, e.get("p_set_kw"))
+                p_set_pu = requests[e]
             else:
                 phys.append(e)
         try:
@@ -215,7 +215,7 @@ def run_closed_loop(
         except PlantDivergedError as exc:
             abort = str(exc)
             break
-        u_next, rec = controller_step(u, y, ctrl_cfg, records[-1].active_mask if records else 0)
+        u_next, rec = controller_step(u, y, p_set_pu, ctrl_cfg, records[-1].active_mask if records else 0)
         if plant_cfg.actuation_delay == 0 and not rec.alarm:
             state, y_now = plant.apply_now(state, u_next)
             rec = replace(rec, v=np.array(y_now.v, copy=True), p_pcc=y_now.p_pcc)
@@ -371,17 +371,18 @@ def reference_opf(
     step posed at the returned point: ``stationarity`` is that step's
     ``max |w|``, zero exactly at a KKT point of the linearized problem
     (``inf`` if the step is not ``optimal``), and ``binding`` is its active
-    set without the tracking row. Raises
+    set without the tracking row. An unphysical request raises a
+    ``ValueError`` before the first power flow, and an out-of-reach one
     :class:`InfeasibleRequestError` with the closest attainable PCC power
-    and the binding limits when the request is out of reach.
+    and the binding limits.
 
     ``seed`` is ignored; it is kept only for callers that still pass it and
     goes with ROADMAP item 9, the benchmark refresh.
     """
     from .qp import solve_qp, STATUS_OPTIMAL
 
+    check_request(p_set_pu)
     cfg = ControllerConfig.for_network(net, devices, alpha=OPF_STEP, tracking_gain=1.0)
-    cfg = replace(cfg, p_set_pu=p_set_pu)
     if v_min is not None and v_max is not None:
         cfg = replace(cfg, v_min=v_min, v_max=v_max)
     lb, ub = cfg.u_min, cfg.u_max
@@ -400,7 +401,7 @@ def reference_opf(
     def projection(u, v, pcc, pf):
         y = Measurement(v, net.pq_ids, pcc, 0.0)
         sens = SensitivityMatrix(*local_jacobian(pf))
-        qp = assemble_projection_qp(u, y, replace(cfg, sensitivity=sens))
+        qp = assemble_projection_qp(u, y, p_set_pu, replace(cfg, sensitivity=sens))
         return qp, solve_qp(qp)
 
     def descend():
@@ -439,7 +440,7 @@ def reference_opf(
 
     out = descend()
     if out is None or abs(out[2] - p_set_pu) > 1e-6:
-        closest, binding = _closest_attainable(respond, local_jacobian, cfg)
+        closest, binding = _closest_attainable(respond, local_jacobian, p_set_pu, cfg)
         raise InfeasibleRequestError(p_set_pu, closest, binding, net.s_base_va)
     u, phi, pcc, v, pf = out
     qp, sol = projection(u, v, pcc, pf)
@@ -461,15 +462,15 @@ def _limit_names(qp, sol) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _closest_attainable(respond, local_jacobian, cfg):
+def _closest_attainable(respond, local_jacobian, p_set_pu, cfg):
     """Best-effort tracking point used in infeasibility reports: Gauss-Newton
-    steps on the gap to ``cfg``'s PCC request within its band and boxes,
+    steps on the gap to the PCC request ``p_set_pu`` within ``cfg``'s band and boxes,
     stopping at the first step that does not bring the PCC power closer.
     Returns the closest iterate's PCC power and the :func:`_limit_names` of
     the QP posed there."""
     from .qp import QpProblem, solve_qp, STATUS_OPTIMAL
 
-    p_set_pu, lb, ub = cfg.p_set_pu, cfg.u_min, cfg.u_max
+    lb, ub = cfg.u_min, cfg.u_max
     u = np.clip(np.zeros(lb.shape), lb, ub)
     pf = None
     u_lin = None

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexloop.controller import (
     MAX_MEASURED_PU,
@@ -12,7 +13,6 @@ from flexloop.controller import (
     assemble_projection_qp,
     controller_step,
     objective_gradient,
-    set_flexibility_request,
 )
 from flexloop.qp import solve_qp
 from flexloop.sensitivity import compute_sensitivity
@@ -57,20 +57,20 @@ def _measurement(cfg, v=1.0, p_pcc=0.0, t=0.0):
 
 
 def test_fixed_point_yields_zero_direction(lab_net, lab_devices, sens):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=0.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     y = _measurement(cfg, v=1.0, p_pcc=0.0)
-    qp = assemble_projection_qp(np.zeros(4), y, cfg)
+    qp = assemble_projection_qp(np.zeros(4), y, 0.0, cfg)
     sol = solve_qp(qp)
     np.testing.assert_allclose(sol.w, 0.0, atol=1e-10)
 
 
 def test_tracking_gap_closed_in_one_linearized_step(lab_net, lab_devices, sens):
     # deadbeat configuration: full correction per step, wide limits
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=0.0, tracking_gain=1.0)
+    cfg = _cfg(lab_net, lab_devices, sens, tracking_gain=1.0)
     delta = 0.08  # measured PCC power above the target
-    y = _measurement(cfg, v=1.0, p_pcc=cfg.p_set_pu + delta)
+    y = _measurement(cfg, v=1.0, p_pcc=delta)
     u = np.zeros(4)
-    qp = assemble_projection_qp(u, y, cfg)
+    qp = assemble_projection_qp(u, y, 0.0, cfg)
     sol = solve_qp(qp)
     s = sens.dpcc
     assert float(s @ sol.w) == pytest.approx(-delta / cfg.alpha, rel=1e-9)
@@ -80,10 +80,10 @@ def test_tracking_gap_closed_in_one_linearized_step(lab_net, lab_devices, sens):
 
 
 def test_damped_tracking_closes_fraction(lab_net, lab_devices, sens):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=0.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     delta = 0.08
-    y = _measurement(cfg, v=1.0, p_pcc=cfg.p_set_pu + delta)
-    qp = assemble_projection_qp(np.zeros(4), y, cfg)
+    y = _measurement(cfg, v=1.0, p_pcc=delta)
+    qp = assemble_projection_qp(np.zeros(4), y, 0.0, cfg)
     sol = solve_qp(qp)
     assert float(sens.dpcc @ sol.w) == pytest.approx(
         -cfg.tracking_gain * delta / cfg.alpha, rel=1e-9
@@ -91,10 +91,10 @@ def test_damped_tracking_closes_fraction(lab_net, lab_devices, sens):
 
 
 def test_voltage_row_binds_at_band_edge(lab_net, lab_devices, sens):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-14.5, tracking_gain=1.0)
+    cfg = _cfg(lab_net, lab_devices, sens, tracking_gain=1.0)
     v = np.array([1.02, 1.02, 1.02, cfg.v_max[3]])  # bus 5 exactly at the cap
     y = _measurement(cfg, v=v, p_pcc=0.0)
-    qp = assemble_projection_qp(np.zeros(4), y, cfg)
+    qp = assemble_projection_qp(np.zeros(4), y, -0.145, cfg)
     sol = solve_qp(qp)
     labels = qp.row_labels()
     assert any(labels[i] == "in[3]:hi" for i in sol.active_set)
@@ -108,36 +108,35 @@ def test_controller_step_fixed_point(lab_net, lab_devices, sens):
     s = sens.dpcc
     u_star = s * (-0.1) / float(s @ s)
     cfg = _cfg(lab_net, lab_devices, sens, tracking_gain=1.0)
-    cfg = set_flexibility_request(cfg, -10.0)
-    y = _measurement(cfg, v=1.0, p_pcc=cfg.p_set_pu)
-    u_next, rec = controller_step(u_star, y, cfg)
+    y = _measurement(cfg, v=1.0, p_pcc=-0.1)
+    u_next, rec = controller_step(u_star, y, -0.1, cfg)
     np.testing.assert_allclose(u_next, u_star, atol=1e-9)
     assert not rec.alarm
 
 
 def test_box_binding_blocks_further_increase(lab_net, lab_devices, sens):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-40.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([cfg.u_max[0], 0.0, 0.0, 0.0])  # first FPU at its P cap
     y = _measurement(cfg, v=1.0, p_pcc=-0.1)
-    u_next, rec = controller_step(u, y, cfg)
+    u_next, rec = controller_step(u, y, -0.4, cfg)
     assert u_next[0] <= cfg.u_max[0] + 1e-15
     assert not rec.alarm
 
 
 def test_emitted_setpoints_respect_boxes_exactly(lab_net, lab_devices, sens):
     rng = np.random.default_rng(4)
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-30.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     u = np.zeros(4)
     for k in range(20):
         v = 1.0 + rng.uniform(-0.06, 0.06, 4)
         y = _measurement(cfg, v=v, p_pcc=rng.uniform(-0.4, 0.4), t=float(k))
-        u, rec = controller_step(u, y, cfg)
+        u, rec = controller_step(u, y, -0.3, cfg)
         assert np.all(u >= cfg.u_min) and np.all(u <= cfg.u_max)  # zero tolerance
 
 
 def test_measurement_built_from_lists_steps_as_from_arrays(lab_net, lab_devices, sens):
     # a list voltage vector used to raise AttributeError inside controller_step
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
     v = [1.01, 1.02, 1.0, 1.03]
     y_list = Measurement(v=v, bus_ids=list(cfg.monitored), p_pcc=0, timestamp=5)
@@ -145,7 +144,7 @@ def test_measurement_built_from_lists_steps_as_from_arrays(lab_net, lab_devices,
     np.testing.assert_array_equal(y_list.v, y_array.v)
     assert y_list.bus_ids == cfg.monitored
     assert isinstance(y_list.p_pcc, float) and isinstance(y_list.timestamp, float)
-    (u_list, rec_list), (u_array, rec_array) = (controller_step(u, y, cfg) for y in (y_list, y_array))
+    (u_list, rec_list), (u_array, rec_array) = (controller_step(u, y, -0.1, cfg) for y in (y_list, y_array))
     assert rec_list.qp_status == rec_array.qp_status == "optimal"
     np.testing.assert_array_equal(u_list, u_array)
 
@@ -158,12 +157,12 @@ def test_invalid_measurement_holds_with_alarm(lab_net, lab_devices, sens):
         v=np.array([1.0, np.nan, 1.0, 1.0]), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=0.0,
     )
     assert not y_bad.all_valid
-    u_next, rec = controller_step(u, y_bad, cfg)
+    u_next, rec = controller_step(u, y_bad, 0.0, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
     with pytest.raises(InvalidMeasurementError):
-        assemble_projection_qp(u, y_bad, cfg)
+        assemble_projection_qp(u, y_bad, 0.0, cfg)
 
 
 @pytest.mark.parametrize(
@@ -172,11 +171,11 @@ def test_invalid_measurement_holds_with_alarm(lab_net, lab_devices, sens):
     ids=["nan-voltage", "inf-voltage", "nan-pcc", "inf-pcc"],
 )
 def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_bad, p_pcc):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
     y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
     assert not y.all_valid
-    u_next, rec = controller_step(u, y, cfg)
+    u_next, rec = controller_step(u, y, -0.1, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
@@ -190,13 +189,13 @@ def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
 def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_bad, p_pcc):
     # finite but beyond MAX_MEASURED_PU: held before any QP is built, so no
     # overflow can reach the solver
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
+    cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
     y = _measurement(cfg, v=np.array([1.0, v_bad, 1.0, 1.0]), p_pcc=p_pcc)
     assert not y.all_valid
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u_next, rec = controller_step(u, y, cfg)
+        u_next, rec = controller_step(u, y, -0.1, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
@@ -205,14 +204,59 @@ def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
 
 
 @pytest.mark.parametrize(
-    "u", [np.zeros(3), np.array([0.01, np.nan, 0.0, 0.0])], ids=["wrong-shape", "nan-entry"]
+    "p_set", [np.nan, -np.inf, 1e308, -2e3], ids=["nan", "-inf", "huge", "negative"]
+)
+def test_invalid_request_holds_with_alarm(lab_net, lab_devices, sens, p_set):
+    # the request used to be checked when a config was built; it is a
+    # per-sample input now, held by the same rule as a measured channel
+    cfg = _cfg(lab_net, lab_devices, sens)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_next, rec = controller_step(u, _measurement(cfg, v=1.0, p_pcc=0.0), p_set, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
+    with pytest.raises(InvalidMeasurementError, match="PCC power request"):
+        assemble_projection_qp(u, _measurement(cfg), p_set, cfg)
+    # the bound itself is a valid request
+    assert not controller_step(u, _measurement(cfg), -MAX_MEASURED_PU, cfg)[1].qp_status.startswith("held_invalid")
+
+
+@pytest.mark.parametrize(
+    "u",
+    [np.zeros(3), np.array([0.01, np.nan, 0.0, 0.0]), np.full(4, 1e308)],
+    ids=["wrong-shape", "nan-entry", "huge-entry"],
 )
 def test_invalid_setpoints_hold_with_alarm(lab_net, lab_devices, sens, u):
-    cfg = _cfg(lab_net, lab_devices, sens, p_set_kw=-10.0)
-    u_next, rec = controller_step(u, _measurement(cfg, v=1.0, p_pcc=0.0), cfg)
+    # 1e308 used to overflow objective_gradient, leak a RuntimeWarning and
+    # raise from the QP's sample check
+    cfg = _cfg(lab_net, lab_devices, sens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_next, rec = controller_step(u, _measurement(cfg, v=1.0, p_pcc=0.0), -0.1, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_setpoints"
+
+
+def test_setpoints_outside_the_box_are_pulled_in(lab_net, lab_devices, sens):
+    # a run starts at zero setpoints, which lie outside a box with p_min > 0:
+    # that is no reason to hold, the projection pulls them in
+    cfg = replace(_cfg(lab_net, lab_devices, sens), u_min=np.array([0.02, -0.1, 0.02, -0.1]))
+    u_next, rec = controller_step(np.zeros(4), _measurement(cfg, v=1.0, p_pcc=0.0), -0.1, cfg)
+    assert rec.qp_status == "optimal" and not rec.alarm
+    assert np.all(cfg.u_min <= u_next) and np.all(u_next <= cfg.u_max)
+
+
+def test_config_without_sensitivity_holds_with_alarm(lab_net, lab_devices):
+    # for_network's default carries no sensitivity; the step used to raise
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    u_next, rec = controller_step(u, _measurement(cfg, v=1.0, p_pcc=0.0), -0.1, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_config"
 
 
 @pytest.mark.parametrize(
@@ -221,7 +265,7 @@ def test_invalid_setpoints_hold_with_alarm(lab_net, lab_devices, sens, u):
 def test_mismatched_measurement_holds_with_alarm(lab_net, lab_devices, sens, bus_ids, n_v):
     cfg = _cfg(lab_net, lab_devices, sens)
     u = np.array([0.01, 0.0, 0.02, 0.0])
-    u_next, rec = controller_step(u, Measurement(np.ones(n_v), bus_ids, 0.0, 0.0), cfg)
+    u_next, rec = controller_step(u, Measurement(np.ones(n_v), bus_ids, 0.0, 0.0), 0.0, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
@@ -233,28 +277,17 @@ def test_infeasible_projection_holds_with_alarm(lab_net, lab_devices, sens):
     cfg = replace(_cfg(lab_net, lab_devices, sens, band=0.0001), u_min=u, u_max=u)
     v = np.full(4, 1.01)
     y = _measurement(cfg, v=v, p_pcc=0.0)
-    u_next, rec = controller_step(u, y, cfg)
+    u_next, rec = controller_step(u, y, 0.0, cfg)
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_infeasible"
-
-
-def test_set_flexibility_request_converts_units(lab_net, lab_devices, sens):
-    cfg = _cfg(lab_net, lab_devices, sens)
-    assert set_flexibility_request(cfg, -14.5).p_set_pu == pytest.approx(-0.145)
-    assert set_flexibility_request(cfg, -2.0).p_set_pu == pytest.approx(-0.02)
-    # origin is optimal for a zero request with nothing to serve
-    cfg0 = set_flexibility_request(cfg, 0.0)
-    y = _measurement(cfg0, v=1.0, p_pcc=0.0)
-    u_next, _ = controller_step(np.zeros(4), y, cfg0)
-    np.testing.assert_allclose(u_next, 0.0, atol=1e-12)
 
 
 def test_measurement_bus_mismatch_rejected(lab_net, lab_devices, sens):
     cfg = _cfg(lab_net, lab_devices, sens)
     y = Measurement(np.ones(4), (2, 3, 4, 9), 0.0, 0.0)
     with pytest.raises(InvalidMeasurementError, match="monitored"):
-        assemble_projection_qp(np.zeros(4), y, cfg)
+        assemble_projection_qp(np.zeros(4), y, 0.0, cfg)
 
 
 def test_config_validation(lab_net, lab_devices, sens):
@@ -262,6 +295,9 @@ def test_config_validation(lab_net, lab_devices, sens):
         _cfg(lab_net, lab_devices, sens, alpha=0.0)
     with pytest.raises(ValueError, match="tracking gain"):
         _cfg(lab_net, lab_devices, sens, tracking_gain=1.5)
+    cfg = _cfg(lab_net, lab_devices, sens)
+    with pytest.raises(ValueError, match="box is empty"):
+        replace(cfg, u_min=cfg.u_max + 1.0)
 
 
 @pytest.mark.parametrize(
@@ -271,17 +307,17 @@ def test_config_validation(lab_net, lab_devices, sens):
         ("alpha", np.inf),
         ("rho", np.nan),
         ("rho", np.inf),
-        ("p_set_pu", np.nan),
-        ("p_set_pu", -np.inf),
         ("v_min", np.nan),
         ("v_min", -np.inf),
         ("v_max", np.nan),
         ("v_max", np.inf),
+        ("u_min", np.nan),
+        ("u_max", np.nan),
     ],
 )
 def test_config_rejects_non_finite_settings(lab_net, lab_devices, sens, field, value):
     cfg = _cfg(lab_net, lab_devices, sens)
-    if field in ("v_min", "v_max"):
+    if field in ("v_min", "v_max", "u_min", "u_max"):
         value = np.full_like(getattr(cfg, field), value)
     with pytest.raises(ValueError):
         replace(cfg, **{field: value})
@@ -303,3 +339,62 @@ def test_config_rejects_mismatched_shapes(lab_net, lab_devices, sens, change):
     cfg = _cfg(lab_net, lab_devices, sens)
     with pytest.raises(ValueError, match="sensitivity|band"):
         replace(cfg, **change(cfg))
+
+
+_EXTREMES = (np.nan, np.inf, -np.inf, 1e308, -1e308, MAX_MEASURED_PU, -MAX_MEASURED_PU)
+_RESHAPES = {
+    "u_short": lambda u, v, b: (u[:3], v, b),
+    "u_2x2": lambda u, v, b: (np.reshape(u, (2, 2)), v, b),
+    "v_short": lambda u, v, b: (u, v[:3], b),
+    "v_2x2": lambda u, v, b: (u, np.reshape(v, (2, 2)), b),
+    "bus_ids": lambda u, v, b: (u, v, b[:3] + (99,)),
+}
+
+
+@pytest.fixture(scope="module")
+def configs(lab_net, lab_devices, sens):
+    """The lab config with the true sensitivity scaled, and without one."""
+    scaled = [replace(sens, dv=sens.dv * k, dpcc=sens.dpcc * k) for k in (1.0, 0.5, 1.5)]
+    return [_cfg(lab_net, lab_devices, s) for s in scaled + [None]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 3),
+    u=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+    v=st.lists(st.floats(0.96, 1.04), min_size=4, max_size=4),
+    inputs=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    faults=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(_EXTREMES)), max_size=2),
+    reshape=st.none() | st.sampled_from(sorted(_RESHAPES)),
+    as_lists=st.booleans(),
+    warm_start=st.integers(0, 2**17 - 1),
+)
+def test_property_controller_step_holds_or_stays_in_the_box(
+    configs, which, u, v, inputs, faults, reshape, as_lists, warm_start
+):
+    # Clean inputs with faults drawn into them: an extreme value (NaN,
+    # +/-inf, +/-1e308 or the bound itself) in any of the ten channels
+    # (four setpoints, four voltages, the PCC power and the request), a
+    # wrong shape or a foreign bus; a config may have no sensitivity.
+    cfg = configs[which]
+    channels = u + v + list(inputs)
+    for i, x in faults:
+        channels[i] = x
+    u, v, bus_ids = channels[:4], channels[4:8], cfg.monitored
+    if reshape:
+        u, v, bus_ids = _RESHAPES[reshape](u, v, bus_ids)
+    if not as_lists:
+        u, v = np.array(u), np.array(v)
+    y = Measurement(v, bus_ids, channels[8], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_next, rec = controller_step(u, y, channels[9], cfg, warm_start)
+
+    u = np.asarray(u, dtype=float)
+    valid = cfg.sensitivity is not None and reshape is None and np.all(np.abs(channels) <= MAX_MEASURED_PU)
+    assert rec.qp_status.startswith("held_invalid") != valid
+    assert rec.alarm == rec.qp_status.startswith("held_")
+    if rec.alarm:
+        np.testing.assert_array_equal(u_next, u)
+    else:
+        assert np.all(cfg.u_min <= u_next) and np.all(u_next <= cfg.u_max)  # zero tolerance

@@ -71,6 +71,15 @@ def test_controller_alarm_keeps_run_alive(lab_net, lab_devices):
     assert np.all(u <= log.u_max + 1e-15)
 
 
+def test_request_event_converts_units(lab_net, lab_devices):
+    # the request is 0 p.u. until its first event, then each event's kW on
+    # the network's base, from the sample at the event's time
+    events = [ScenarioEvent.make(t, "set_flexibility", p_set_kw=kw) for t, kw in ((10.0, -14.5), (20.0, -2.0))]
+    cfg = ControllerConfig.for_network(lab_net, lab_devices)
+    log = run_closed_loop(lab_net, lab_devices, _scenario(events, 30.0), cfg, PlantConfig())
+    assert [r.p_set for r in log.records] == pytest.approx([0.0, 0.0, -0.145, -0.145, -0.02, -0.02, -0.02], abs=1e-15)
+
+
 def test_plant_divergence_truncates_log(lab_net, lab_devices):
     scen = _scenario(
         [ScenarioEvent.make(20.0, "load_change", bus=3, p_kw=5e4, q_kvar=0.0)], 100.0
@@ -318,6 +327,16 @@ def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     assert "closest attainable -28.722 kW" in str(err)
 
 
+@pytest.mark.parametrize("p_set_pu", [np.nan, -np.inf, 2e3])
+def test_opf_rejects_unphysical_request_before_any_power_flow(lab_net, lab_devices, monkeypatch, p_set_pu):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power flow run for an unphysical request")
+
+    monkeypatch.setattr(flexloop.harness, "steady_state_response", refuse)
+    with pytest.raises(ValueError, match="PCC power request must be finite and within 1000 p.u."):
+        reference_opf(lab_net, lab_devices, p_set_pu=p_set_pu)
+
+
 @pytest.mark.parametrize(
     "case",
     [("feeder", seed) for seed in range(5)] + [("lab", 1.0), ("lab", 1.048)],
@@ -435,7 +454,8 @@ def test_warm_started_loop_matches_cold_starts(lab_net, lab_devices, exp_a, monk
     scenario = _scenario(events + (ScenarioEvent.make(10.0, "set_flexibility", p_set_kw=-40.0),), 300.0)
     cfg = ControllerConfig.for_network(lab_net, lab_devices)
     warm = run_closed_loop(lab_net, lab_devices, scenario, cfg, PlantConfig()).to_csv()
-    monkeypatch.setattr(flexloop.harness, "controller_step", lambda u, y, c, warm_start=0: controller_step(u, y, c))
+    cold_step = lambda u, y, p_set, c, warm_start=0: controller_step(u, y, p_set, c)
+    monkeypatch.setattr(flexloop.harness, "controller_step", cold_step)
     cold = run_closed_loop(lab_net, lab_devices, scenario, cfg, PlantConfig()).to_csv()
     warm_rows = [line.split(",") for line in warm.splitlines()]
     cold_rows = [line.split(",") for line in cold.splitlines()]

@@ -315,16 +315,16 @@ def test_rows_stacked_once_per_solve(monkeypatch):
     assert {(STATUS_OPTIMAL, True), (STATUS_INFEASIBLE, False)} <= statuses
 
 
-def test_rows_stacked_once_per_controller_config(monkeypatch, lab_net, lab_devices, exp_a):
+def test_rows_stacked_once_per_run(monkeypatch, lab_net, lab_devices, exp_a):
     # the controller poses each sample's QP on rows its config built once:
-    # exp_a runs on two configs, before and after its request at 10 s
+    # the request at 10 s is a per-sample input, so exp_a runs on one config
     calls = []
     stacked_rows = flexloop.qp._stacked_rows
     monkeypatch.setattr(flexloop.qp, "_stacked_rows", lambda p: calls.append(p) or stacked_rows(p))
     sens = compute_sensitivity(lab_net, lab_devices, np.zeros(4))
     cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=sens)
     log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())
-    assert len(log.records) == 41 and len(calls) == 2
+    assert len(log.records) == 41 and len(calls) == 1
 
 
 def test_with_sample_checks_only_the_sample():
@@ -409,7 +409,7 @@ def test_absurd_tracking_target_leaks_no_warning(lab_net, lab_devices):
     sens = compute_sensitivity(lab_net, lab_devices, np.zeros(4))
     cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=sens)
     y = Measurement(v=np.ones(len(cfg.monitored)), bus_ids=cfg.monitored, p_pcc=0.0, timestamp=0.0)
-    p = replace(assemble_projection_qp(np.zeros(4), y, cfg), b_eq=np.array([8.5e297]))
+    p = replace(assemble_projection_qp(np.zeros(4), y, 0.0, cfg), b_eq=np.array([8.5e297]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_qp(p)
