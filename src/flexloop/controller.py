@@ -28,7 +28,7 @@ DEFAULT_ALPHA = 0.3
 DEFAULT_BAND = 0.05  # +/- around nominal voltage, p.u.
 DEFAULT_TRACKING_GAIN = 0.85
 SLACK_FLAG_TOL = 1e-6  # p.u.; equality slack above this is flagged
-MAX_MEASURED_PU = 1e3  # |v|, |p_pcc|, |p_set| or |u| above this is no physical value
+MAX_MEASURED_PU = 1e3  # |v|, |p_pcc|, |p_set| or |u| above this is no physical value; also alpha's cap
 
 
 class InvalidMeasurementError(ValueError):
@@ -95,6 +95,8 @@ class ControllerConfig:
         # comparisons with NaN are false, so each check also rejects NaN
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"step size alpha must be positive and finite, got {self.alpha}")
+        if self.alpha > MAX_MEASURED_PU:
+            raise ValueError(f"step size alpha must be at most {MAX_MEASURED_PU:g}, got {self.alpha:g}")
         if not 0.0 < self.rho < np.inf:
             raise ValueError(f"soft-equality weight rho must be positive and finite, got {self.rho}")
         if not (np.all(np.isfinite(self.v_min)) and np.all(np.isfinite(self.v_max))):
@@ -113,6 +115,8 @@ class ControllerConfig:
         sens = self.sensitivity
         if sens is not None and (np.shape(sens.dv) != (n_v, p) or np.shape(sens.dpcc) != (p,)):
             raise ValueError(f"sensitivity must map {p} setpoints to {n_v} voltages and the PCC power")
+        if sens is not None and not (np.all(np.isfinite(sens.dv)) and np.all(np.isfinite(sens.dpcc))):
+            raise ValueError("sensitivity entries must be finite")
 
     @cached_property
     def _projection(self) -> QpProblem:
@@ -185,7 +189,6 @@ def assemble_projection_qp(
 class StepRecord:
     """Telemetry for one controller invocation (one CSV row)."""
 
-    iteration: int
     timestamp: float
     u: np.ndarray
     v: np.ndarray
@@ -201,7 +204,7 @@ class StepRecord:
 def _record(u, y, p_set_pu, status: str, eq_slack=float("nan"), active_mask=0, soft_fallback=False) -> StepRecord:
     """A step's telemetry; a ``held_*`` status is an alarm."""
     return StepRecord(
-        iteration=-1, timestamp=y.timestamp, u=u.copy(), v=np.array(y.v, copy=True), p_pcc=y.p_pcc,
+        timestamp=y.timestamp, u=u.copy(), v=np.array(y.v, copy=True), p_pcc=y.p_pcc,
         p_set=p_set_pu, qp_status=status, eq_slack=eq_slack, active_mask=active_mask,
         soft_fallback=soft_fallback, alarm=status.startswith("held_"),
     )
@@ -214,15 +217,20 @@ def controller_step(
 
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
-    exactly. Given a real-number request it raises nothing: it holds with an
-    alarm if the setpoints have the wrong shape or an entry beyond
-    ``MAX_MEASURED_PU``, if the config has no sensitivity, if the
-    measurement or request is invalid (a non-finite or unphysical channel,
-    or buses that do not match the monitored set) or if the projection has
-    no feasible direction even after softening the tracking row. The projection starts from ``warm_start``, the previous
+    exactly. It raises nothing: it holds with an alarm if the setpoints
+    have the wrong shape or an entry beyond ``MAX_MEASURED_PU``, if the
+    config has no sensitivity, if the measurement or request is invalid (a
+    non-finite or unphysical channel, buses that do not match the monitored
+    set, or a request that ``float()`` cannot convert, recorded as NaN) or
+    if the projection has no feasible direction even after softening the
+    tracking row. The projection starts from ``warm_start``, the previous
     record's ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
     """
     u = np.asarray(u, dtype=float)
+    try:
+        p_set_pu = float(p_set_pu)
+    except (TypeError, ValueError):
+        p_set_pu = float("nan")  # held below, as a NaN request
     if u.shape != cfg.u_min.shape or not np.all(np.abs(u) <= MAX_MEASURED_PU):
         return u.copy(), _record(u, y, p_set_pu, "held_invalid_setpoints")
     if cfg.sensitivity is None:

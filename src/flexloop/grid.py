@@ -387,17 +387,17 @@ def build_devices(spec: NetworkSpec, net: NetworkModel) -> DeviceSet:
     return DeviceSet(tuple(fpus), tuple(legacy), tuple(loads), tuple(evs))
 
 
-def base_injections(
-    net: NetworkModel, devices: DeviceSet, *,
+def injections(
+    net: NetworkModel, devices: DeviceSet, u_pu: np.ndarray, *,
     loads_pu: np.ndarray | None = None, ev_pu: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-PQ-bus (P, Q) injections of every uncontrolled device, per-unit.
+    """Per-PQ-bus (P, Q) injections of every device, per-unit, shape ``(n_pq, 2)``.
 
     Loads enter negatively with ``loads_pu`` (default: as described), legacy
     inverters with their fixed active feed-in only (their reactive output
     follows :class:`DroopLaw` inside the power flow), EV chargers with their
-    nonpositive power ``ev_pu`` (default: idle). Controllable setpoints are
-    added on top by :func:`add_setpoint_injections`.
+    nonpositive power ``ev_pu`` (default: idle) and the controllables with
+    their setpoints ``u_pu``. Devices on one bus add up, in that order.
     """
     s = net.s_base_va
     loads_pu = devices.static_loads_pu(s) if loads_pu is None else loads_pu
@@ -406,8 +406,10 @@ def base_injections(
     ev = np.zeros((len(devices.ev_points), 2))
     if ev_pu is not None:
         ev[:, 0] = ev_pu
-    buses = [d.bus for d in devices.loads + devices.legacy + devices.ev_points]
-    return _sum_on_buses(net, buses, np.concatenate([-np.reshape(loads_pu, (-1, 2)), legacy, ev]))
+    buses = [d.bus for d in devices.loads + devices.legacy + devices.ev_points + devices.controllables]
+    pq = np.concatenate([-np.reshape(loads_pu, (-1, 2)), legacy, ev, np.reshape(u_pu, (-1, 2))])
+    n_pq = len(net.pq_ids)
+    return np.bincount(pq_positions(net, buses), pq.ravel(), 2 * n_pq).reshape(2, n_pq).T
 
 
 def pq_positions(net: NetworkModel, buses: tuple[int, ...] | list[int]) -> np.ndarray:
@@ -459,16 +461,3 @@ def droop_law(net: NetworkModel, devices: DeviceSet) -> DroopLaw:
     ).reshape(-1, 5).T
     buses = rows - len(net.pq_ids) + 1
     return DroopLaw(rows, buses, q_max, db_lo, db_hi, q_max / (db_lo - v_lo), q_max / (v_hi - db_hi))
-
-
-def _sum_on_buses(net: NetworkModel, buses: tuple[int, ...] | list[int], pq: np.ndarray) -> np.ndarray:
-    """Per-device (P, Q) pairs ``pq`` summed onto their buses, shape ``(n_pq, 2)``."""
-    n_pq = len(net.pq_ids)
-    return np.bincount(pq_positions(net, buses), np.ravel(pq), 2 * n_pq).reshape(2, n_pq).T
-
-
-def add_setpoint_injections(
-    inj: np.ndarray, net: NetworkModel, devices: DeviceSet, u_pu: np.ndarray
-) -> np.ndarray:
-    """Return a copy of ``inj`` with controllable setpoints ``u_pu`` added."""
-    return inj + _sum_on_buses(net, devices.fpu_buses, u_pu)

@@ -132,8 +132,8 @@ class TelemetryLog:
     def to_csv(self) -> str:
         s_kw = self.s_base_va / 1e3
         lines = [",".join(self.column_names())]
-        for r in self.records:
-            cells: list[str] = [str(r.iteration), repr(float(r.timestamp))]
+        for k, r in enumerate(self.records):
+            cells: list[str] = [str(k), repr(float(r.timestamp))]
             for j in range(len(self.fpu_buses)):
                 cells.append(repr(float(r.u[2 * j] * s_kw)))
                 cells.append(repr(float(r.u[2 * j + 1] * s_kw)))
@@ -219,7 +219,7 @@ def run_closed_loop(
         if plant_cfg.actuation_delay == 0 and not rec.alarm:
             state, y_now = plant.apply_now(state, u_next)
             rec = replace(rec, v=np.array(y_now.v, copy=True), p_pcc=y_now.p_pcc)
-        records.append(replace(rec, iteration=k))
+        records.append(rec)
         u = u_next
 
     return TelemetryLog(
@@ -342,7 +342,6 @@ def summarize(log: TelemetryLog) -> KpiReport:
 class OpfResult:
     u: np.ndarray
     phi: float
-    p_pcc_pu: float
     stationarity: float
     binding: tuple[str, ...]
 
@@ -445,7 +444,7 @@ def reference_opf(
     u, phi, pcc, v, pf = out
     qp, sol = projection(u, v, pcc, pf)
     stat = float(np.max(np.abs(sol.w))) if sol.status == STATUS_OPTIMAL else np.inf
-    return OpfResult(u=u, phi=phi, p_pcc_pu=pcc, stationarity=stat, binding=_limit_names(qp, sol))
+    return OpfResult(u=u, phi=phi, stationarity=stat, binding=_limit_names(qp, sol))
 
 
 def _limit_names(qp, sol) -> tuple[str, ...]:

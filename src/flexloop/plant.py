@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import Measurement
-from .grid import DeviceSet, DroopLaw, NetworkModel, add_setpoint_injections, base_injections, droop_law
+from .grid import DeviceSet, DroopLaw, NetworkModel, droop_law, injections
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 
 EVENT_KINDS = {
@@ -150,15 +150,15 @@ def steady_state_response(
 ) -> tuple[PowerFlowSolution, np.ndarray, bool]:
     """Resolve the grid's steady state for given setpoints and disturbances.
 
-    One power flow, warm-started from the voltages ``x0`` when given, solves
-    the grid together with every legacy inverter's ``q = Q(V)`` (``droop``,
-    built here if not given). Returns the power-flow solution, the droop
+    One power flow over the bus injections of :func:`~flexloop.grid.injections`,
+    warm-started from the voltages ``x0`` when given, solves the grid together
+    with every legacy inverter's ``q = Q(V)`` (``droop``, built here if not
+    given). Returns the power-flow solution, the droop
     outputs at its voltages and ``True``: a power flow that fails raises
     :class:`PlantDivergedError`, chained to the :class:`PowerFlowError` when
     it raised one, so there is no other outcome.
     """
-    inj = base_injections(net, devices, loads_pu=loads_pu, ev_pu=ev_pu)
-    inj = add_setpoint_injections(inj, net, devices, u_pu)
+    inj = injections(net, devices, u_pu, loads_pu=loads_pu, ev_pu=ev_pu)
     droop = droop_law(net, devices) if droop is None else droop
     try:
         sol = solve_power_flow(net, inj, slack_v, x0=x0, droop=droop)

@@ -64,7 +64,6 @@ class PowerFlowSolution:
 
     v_mag: np.ndarray
     v_ang: np.ndarray
-    pcc_power_w: float
     pcc_power_pu: float
     losses_w: float
     converged: bool
@@ -237,7 +236,6 @@ def solve_power_flow(
     return PowerFlowSolution(
         v_mag=v_mag,
         v_ang=v_ang,
-        pcc_power_w=float(p[0]) * net.s_base_va,
         pcc_power_pu=float(p[0]),
         losses_w=float(np.sum(p)) * net.s_base_va,
         converged=converged,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DeviceSet, DroopLaw, NetworkModel, add_setpoint_injections, base_injections, pq_positions
+from .grid import DeviceSet, DroopLaw, NetworkModel, injections, pq_positions
 from .powerflow import PowerFlowSolution, _band_solve, _evaluate, _jacobian, solve_power_flow
 
 
@@ -35,10 +35,6 @@ class SensitivityMatrix:
     dv: np.ndarray
     dpcc: np.ndarray
 
-    @property
-    def n_setpoints(self) -> int:
-        return self.dpcc.shape[0]
-
     def scaled(self, factors_v: np.ndarray, factors_pcc: np.ndarray) -> "SensitivityMatrix":
         """Entry-wise scaled copy, used for model-mismatch studies."""
         return replace(self, dv=self.dv * factors_v, dpcc=self.dpcc * factors_pcc)
@@ -54,7 +50,7 @@ def linearize(
 
     The PQ mismatch ``S(x) - S_spec(u) = 0`` gives ``J dx = C du``; ``C``
     places each setpoint at its :func:`~flexloop.grid.pq_positions` entry,
-    the map :func:`add_setpoint_injections` uses. ``dv`` is the magnitude
+    the map :func:`~flexloop.grid.injections` uses. ``dv`` is the magnitude
     half of ``dx`` (every PQ bus, in ``net.pq_ids`` order), ``dpcc`` the
     slack's active-power row applied to it. With ``droop``, each legacy
     inverter's reactive output follows its terminal voltage, as in the power
@@ -89,8 +85,7 @@ def compute_sensitivity(
     if u0.shape != (p,):
         raise ValueError(f"operating point must have shape ({p},), got {u0.shape}")
 
-    inj = add_setpoint_injections(base_injections(net, devices), net, devices, u0)
-    ref = solve_power_flow(net, inj)
+    ref = solve_power_flow(net, injections(net, devices, u0))
     if not ref.converged:
         raise SensitivityError("power flow does not converge at the operating point")
     return SensitivityMatrix(*linearize(net, devices, ref))

@@ -30,9 +30,7 @@ import numpy as np
 from scipy.optimize import minimize, nnls
 
 from flexloop.controller import DEFAULT_BAND
-from flexloop.grid import (
-    DeviceSet, DroopInverter, NetworkModel, add_setpoint_injections, base_injections, droop_law,
-)
+from flexloop.grid import DeviceSet, DroopInverter, NetworkModel, droop_law, injections
 from flexloop.harness import SETTLE_TOL_KW, TelemetryLog
 from flexloop.plant import PlantDivergedError, steady_state_response
 from flexloop.powerflow import PowerFlowSolution, _evaluate, _jacobian, solve_power_flow
@@ -268,7 +266,7 @@ def picard_droop_response(
 
     Returns (solution, q), or None if the iteration does not settle.
     """
-    base = add_setpoint_injections(base_injections(net, devices), net, devices, u_pu)
+    base = injections(net, devices, u_pu)
     rows = [net.pq_row(inv.bus) for inv in devices.legacy]
     q = np.zeros(len(rows))
     for _ in range(max_iter):

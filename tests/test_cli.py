@@ -255,6 +255,7 @@ def test_bad_argument_is_input_error(tmp_path, capsys):
         ("--actuation-delay", "-1"),
         ("--band", "nan"),
         ("--alpha", "nan"),
+        ("--alpha", "1e200"),  # used to run, every sample held with overflow warnings
         ("--noise-sigma", "nan"),
         ("--seed", "-1"),
     ],

@@ -203,8 +203,15 @@ def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     assert _measurement(cfg, v=MAX_MEASURED_PU, p_pcc=-MAX_MEASURED_PU).all_valid
 
 
+# requests that float() cannot convert: each used to raise, or (complex)
+# to step with a ComplexWarning
+_NON_REAL = {"list": [-0.1], "2-vector": np.array([-0.1, 0.0]), "none": None, "complex": 1 + 0j, "string": "tenth"}
+
+
 @pytest.mark.parametrize(
-    "p_set", [np.nan, -np.inf, 1e308, -2e3], ids=["nan", "-inf", "huge", "negative"]
+    "p_set",
+    [np.nan, -np.inf, 1e308, -2e3, *_NON_REAL.values()],
+    ids=["nan", "-inf", "huge", "negative", *_NON_REAL],
 )
 def test_invalid_request_holds_with_alarm(lab_net, lab_devices, sens, p_set):
     # the request used to be checked when a config was built; it is a
@@ -217,10 +224,22 @@ def test_invalid_request_holds_with_alarm(lab_net, lab_devices, sens, p_set):
     np.testing.assert_array_equal(u_next, u)
     assert rec.alarm
     assert rec.qp_status == "held_invalid_measurement"
-    with pytest.raises(InvalidMeasurementError, match="PCC power request"):
-        assemble_projection_qp(u, _measurement(cfg), p_set, cfg)
+    if isinstance(p_set, float):
+        with pytest.raises(InvalidMeasurementError, match="PCC power request"):
+            assemble_projection_qp(u, _measurement(cfg), p_set, cfg)
+    else:
+        assert np.isnan(rec.p_set)  # not a real number: recorded as NaN
     # the bound itself is a valid request
     assert not controller_step(u, _measurement(cfg), -MAX_MEASURED_PU, cfg)[1].qp_status.startswith("held_invalid")
+
+
+def test_numeric_string_request_steps_like_its_number(lab_net, lab_devices, sens):
+    # float() coerces the request, as Measurement coerces the PCC power
+    cfg = _cfg(lab_net, lab_devices, sens)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    u_str, rec = controller_step(u, _measurement(cfg), "-0.1", cfg)
+    np.testing.assert_array_equal(u_str, controller_step(u, _measurement(cfg), -0.1, cfg)[0])
+    assert rec.p_set == -0.1 and rec.qp_status == "optimal"
 
 
 @pytest.mark.parametrize(
@@ -298,6 +317,7 @@ def test_config_validation(lab_net, lab_devices, sens):
     cfg = _cfg(lab_net, lab_devices, sens)
     with pytest.raises(ValueError, match="box is empty"):
         replace(cfg, u_min=cfg.u_max + 1.0)
+    assert replace(cfg, alpha=MAX_MEASURED_PU).alpha == MAX_MEASURED_PU  # the cap itself is a valid step
 
 
 @pytest.mark.parametrize(
@@ -313,12 +333,24 @@ def test_config_validation(lab_net, lab_devices, sens):
         ("v_max", np.inf),
         ("u_min", np.nan),
         ("u_max", np.nan),
+        # each used to build, then make the first controller_step raise
+        # (sensitivity) or hold every sample (alpha)
+        ("alpha", 1e50),
+        ("alpha", 1e200),
+        ("dv", np.nan),
+        ("dv", np.inf),
+        ("dpcc", np.nan),
+        ("dpcc", -np.inf),
     ],
 )
 def test_config_rejects_non_finite_settings(lab_net, lab_devices, sens, field, value):
     cfg = _cfg(lab_net, lab_devices, sens)
     if field in ("v_min", "v_max", "u_min", "u_max"):
         value = np.full_like(getattr(cfg, field), value)
+    if field in ("dv", "dpcc"):
+        entries = getattr(sens, field).copy()
+        entries.flat[1] = value
+        field, value = "sensitivity", replace(sens, **{field: entries})
     with pytest.raises(ValueError):
         replace(cfg, **{field: value})
 
@@ -368,14 +400,16 @@ def configs(lab_net, lab_devices, sens):
     reshape=st.none() | st.sampled_from(sorted(_RESHAPES)),
     as_lists=st.booleans(),
     warm_start=st.integers(0, 2**17 - 1),
+    non_real=st.none() | st.sampled_from(sorted(_NON_REAL)),
 )
 def test_property_controller_step_holds_or_stays_in_the_box(
-    configs, which, u, v, inputs, faults, reshape, as_lists, warm_start
+    configs, which, u, v, inputs, faults, reshape, as_lists, warm_start, non_real
 ):
     # Clean inputs with faults drawn into them: an extreme value (NaN,
     # +/-inf, +/-1e308 or the bound itself) in any of the ten channels
     # (four setpoints, four voltages, the PCC power and the request), a
-    # wrong shape or a foreign bus; a config may have no sensitivity.
+    # wrong shape, a foreign bus or a request that is not a real number; a
+    # config may have no sensitivity.
     cfg = configs[which]
     channels = u + v + list(inputs)
     for i, x in faults:
@@ -388,10 +422,11 @@ def test_property_controller_step_holds_or_stays_in_the_box(
     y = Measurement(v, bus_ids, channels[8], 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u_next, rec = controller_step(u, y, channels[9], cfg, warm_start)
+        u_next, rec = controller_step(u, y, channels[9] if non_real is None else _NON_REAL[non_real], cfg, warm_start)
 
     u = np.asarray(u, dtype=float)
-    valid = cfg.sensitivity is not None and reshape is None and np.all(np.abs(channels) <= MAX_MEASURED_PU)
+    valid = (cfg.sensitivity is not None and reshape is None and non_real is None
+             and np.all(np.abs(channels) <= MAX_MEASURED_PU))
     assert rec.qp_status.startswith("held_invalid") != valid
     assert rec.alarm == rec.qp_status.startswith("held_")
     if rec.alarm:

@@ -17,10 +17,9 @@ from flexloop.grid import (
     NetworkValidationError,
     UnknownBusError,
     ZeroImpedanceBranchError,
-    add_setpoint_injections,
-    base_injections,
     build_devices,
     build_network,
+    injections,
 )
 
 
@@ -141,8 +140,8 @@ def test_setpoint_bounds_units(lab_net, lab_devices):
     assert lb[1] == pytest.approx(-0.10)
 
 
-def test_base_injections_signs(lab_net, lab_devices):
-    inj = base_injections(lab_net, lab_devices)
+def test_injections_signs(lab_net, lab_devices):
+    inj = injections(lab_net, lab_devices, np.zeros(lab_devices.n_setpoints))
     row3 = lab_net.pq_row(3)
     row4 = lab_net.pq_row(4)
     assert inj[row3, 0] == pytest.approx(-0.02)  # 2 kW load consumes
@@ -152,14 +151,12 @@ def test_base_injections_signs(lab_net, lab_devices):
 
 
 def test_injection_overrides_sum_on_shared_buses(lab_net, lab_devices):
-    inj = base_injections(
-        lab_net, lab_devices,
-        loads_pu=np.array([[0.03, 0.01], [0.0, 0.0]]), ev_pu=np.array([-0.05]),
-    )
+    overrides = dict(loads_pu=np.array([[0.03, 0.01], [0.0, 0.0]]), ev_pu=np.array([-0.05]))
+    inj = injections(lab_net, lab_devices, np.zeros(4), **overrides)
     row3, row4, row5 = (lab_net.pq_row(b) for b in (3, 4, 5))
     assert inj[row3] == pytest.approx([-0.08, -0.01])  # load and EV charger share bus 3
     assert inj[row4] == pytest.approx([0.02, 0.0])  # legacy feed-in; its Q follows the droop
-    out = add_setpoint_injections(inj, lab_net, lab_devices, np.array([0.01, 0.02, 0.03, 0.04]))
+    out = injections(lab_net, lab_devices, np.array([0.01, 0.02, 0.03, 0.04]), **overrides)
     assert out[lab_net.pq_row(2)] == pytest.approx([0.01, 0.02])
     assert out[row5] == pytest.approx([0.03, 0.04])
     np.testing.assert_array_equal(out[[row3, row4]], inj[[row3, row4]])  # no setpoint there

@@ -3,7 +3,7 @@ import pytest
 
 import flexloop.harness
 from flexloop.controller import ControllerConfig, StepRecord, controller_step
-from flexloop.grid import Branch, Bus, Fpu, NetworkSpec, build_devices, build_network
+from flexloop.grid import Branch, Bus, Fpu, NetworkSpec, build_devices, build_network, injections
 from flexloop.harness import (
     InfeasibleRequestError,
     TelemetryLog,
@@ -27,7 +27,7 @@ def test_no_events_fixed_point(lab_net, lab_devices):
     from flexloop.plant import steady_state_response
 
     rest, _, _ = steady_state_response(lab_net, lab_devices, np.zeros(4))
-    p0_kw = rest.pcc_power_w / 1e3
+    p0_kw = rest.pcc_power_pu * lab_net.s_base_va / 1e3
     scen = _scenario([ScenarioEvent.make(0.0, "set_flexibility", p_set_kw=p0_kw)], 100.0)
     cfg = ControllerConfig.for_network(lab_net, lab_devices)
     log = run_closed_loop(lab_net, lab_devices, scen, cfg, PlantConfig())
@@ -122,6 +122,40 @@ def test_exp_a_total_injection_and_split(lab_net, lab_devices, exp_a):
     assert p2_kw > p5_kw
 
 
+def test_two_fpus_on_one_bus(lab_spec, exp_a):
+    # the lab feeder with a second unit on bus 5: its own CSV columns, its
+    # power summed onto the bus with every other device's, and a loop that
+    # still settles
+    second = Fpu(bus=5, p_min_w=-5e3, p_max_w=5e3, q_min_var=-3e3, q_max_var=3e3)
+    spec = NetworkSpec(lab_spec.buses, lab_spec.branches, lab_spec.devices + (second,), lab_spec.s_base_va)
+    net = build_network(spec)
+    devices = build_devices(spec, net)
+    assert devices.fpu_buses == (2, 5, 5)
+
+    rng = np.random.default_rng(0)
+    u = rng.uniform(*devices.setpoint_bounds_pu(net.s_base_va))
+    loads_pu = rng.uniform(0.0, 0.05, (len(devices.loads), 2))
+    ev_pu = -rng.uniform(0.0, 0.1, len(devices.ev_points))
+    expected = np.zeros((len(net.pq_ids), 2))
+    for load, pq in zip(devices.loads, loads_pu):
+        expected[net.pq_row(load.bus)] -= pq
+    for inv in devices.legacy:
+        expected[net.pq_row(inv.bus), 0] += inv.p_fixed_w / net.s_base_va
+    for ev, p in zip(devices.ev_points, ev_pu):
+        expected[net.pq_row(ev.bus), 0] += p
+    for i, f in enumerate(devices.controllables):
+        expected[net.pq_row(f.bus)] += u[2 * i:2 * i + 2]
+    inj = injections(net, devices, u, loads_pu=loads_pu, ev_pu=ev_pu)
+    np.testing.assert_allclose(inj, expected, rtol=0, atol=1e-15)
+
+    log = run_closed_loop(net, devices, exp_a, ControllerConfig.for_network(net, devices), PlantConfig())
+    header = log.to_csv().split("\n", 1)[0].split(",")
+    assert {"fpu5_p_kw", "fpu5_q_kvar", "fpu5_2_p_kw", "fpu5_2_q_kvar"} <= set(header)
+    kpi = summarize(log)
+    assert kpi.settled and kpi.settling_iterations <= 10
+    assert kpi.steady_state_error_kw < 1e-6
+
+
 def test_converged_loop_satisfies_plant_kkt(lab_net, lab_devices, exp_a):
     # when the loop converges, its limit satisfies the dispatch problem's
     # KKT conditions with the primal side (voltages, PCC power, active set)
@@ -213,7 +247,7 @@ def test_summarize_violation_directly():
     # hand-built log with a single 0.001 p.u. excursion
     def rec(i, v):
         return StepRecord(
-            iteration=i, timestamp=5.0 * i, u=np.zeros(2), v=np.array([v]),
+            timestamp=5.0 * i, u=np.zeros(2), v=np.array([v]),
             p_pcc=0.0, p_set=0.0, qp_status="optimal", eq_slack=0.0,
             active_mask=0, soft_fallback=False, alarm=False,
         )
@@ -235,7 +269,7 @@ def test_summarize_needs_a_full_settling_window():
     # one good sample at the end of the log is no settling
     def rec(i, err_pu):
         return StepRecord(
-            iteration=i, timestamp=5.0 * i, u=np.zeros(2), v=np.array([1.0]),
+            timestamp=5.0 * i, u=np.zeros(2), v=np.array([1.0]),
             p_pcc=err_pu, p_set=0.0, qp_status="optimal", eq_slack=0.0,
             active_mask=0, soft_fallback=False, alarm=False,
         )

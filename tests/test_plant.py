@@ -11,11 +11,10 @@ from flexloop.grid import (
     DeviceLimitError,
     DroopInverter,
     NetworkSpec,
-    add_setpoint_injections,
-    base_injections,
     build_devices,
     build_network,
     droop_law,
+    injections,
 )
 from flexloop.plant import (
     Plant,
@@ -226,10 +225,10 @@ def test_droop_absorbs_against_droop_free_oracle(lab_net, lab_devices):
 def test_droop_disabled_equals_power_flow(lab_net, lab_devices):
     u = np.array([0.05, 0.01, -0.02, 0.0])
     sol, q, ok = steady_state_response(lab_net, _droop_free(lab_devices), u)
-    inj = add_setpoint_injections(base_injections(lab_net, lab_devices), lab_net, lab_devices, u)
+    inj = injections(lab_net, lab_devices, u)
     ref = solve_power_flow(lab_net, inj, 1.0)
     assert np.array_equal(sol.v_mag, ref.v_mag)
-    assert sol.pcc_power_w == ref.pcc_power_w
+    assert sol.pcc_power_pu * lab_net.s_base_va == ref.pcc_power_pu * lab_net.s_base_va
     assert np.all(q == 0.0)
 
 
@@ -308,7 +307,7 @@ def test_droop_in_newton_matches_picard_fixed_point(lab_net, lab_devices, slack_
     sol, q, ok = steady_state_response(lab_net, lab_devices, u, slack_v=slack_v)
     assert ok
     # q = Q(V): the plain power flow with q held as a fixed injection
-    inj = add_setpoint_injections(base_injections(lab_net, lab_devices), lab_net, lab_devices, u)
+    inj = injections(lab_net, lab_devices, u)
     np.add.at(inj[:, 1], [lab_net.pq_row(inv.bus) for inv in lab_devices.legacy], q)
     held = solve_power_flow(lab_net, inj, slack_v)
     np.testing.assert_allclose(held.v_mag, sol.v_mag, rtol=0, atol=1e-9)
@@ -455,7 +454,7 @@ def test_droop_hair_thin_ramp_converges():
     assert ok and sol.converged
     assert 0.0 < abs(q[0]) < 0.03  # on the ramp
     assert q[0] == pytest.approx(qv_droop(devices.legacy[0], sol.v_mag[1], net.s_base_va), abs=1e-12)
-    inj = base_injections(net, devices)
+    inj = injections(net, devices, np.zeros(devices.n_setpoints))
     inj[0, 1] += q[0]
     np.testing.assert_allclose(solve_power_flow(net, inj, 1.02).v_mag, sol.v_mag, rtol=0, atol=1e-9)
     plant = Plant(net, devices, PlantConfig())

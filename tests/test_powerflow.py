@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flexloop.powerflow
-from flexloop.grid import Branch, Bus, DroopLaw, NetworkSpec, base_injections, build_network, droop_law
+from flexloop.grid import Branch, Bus, DroopLaw, NetworkSpec, build_network, droop_law, injections
 from flexloop.harness import random_feeder
 from flexloop.powerflow import SingularJacobianError, _band_solve, _evaluate, _jacobian, solve_power_flow
 
@@ -45,7 +45,7 @@ def test_flat_no_load(two_bus):
     sol = solve_power_flow(net, np.zeros((1, 2)), 1.0)
     assert sol.converged
     np.testing.assert_allclose(sol.v_mag, 1.0, atol=1e-12)
-    assert sol.pcc_power_w == pytest.approx(0.0, abs=1e-10)
+    assert sol.pcc_power_pu * net.s_base_va == pytest.approx(0.0, abs=1e-10)
     assert sol.iterations == 0  # flat start is already the solution
 
 
@@ -70,7 +70,7 @@ def test_two_bus_closed_form_grid(two_bus, p, q, slack_v):
 
 def test_lab_feeder_against_zbus_oracle(lab_net, lab_devices):
     # total controllable feed-in of 15.5 kW on top of the static devices
-    inj = base_injections(lab_net, lab_devices)
+    inj = injections(lab_net, lab_devices, np.zeros(lab_devices.n_setpoints))
     inj[lab_net.pq_row(2), 0] += 0.115
     inj[lab_net.pq_row(5), 0] += 0.040
     sol = solve_power_flow(lab_net, inj, 1.0)
@@ -82,10 +82,10 @@ def test_lab_feeder_against_zbus_oracle(lab_net, lab_devices):
     assert sol.losses_w == pytest.approx(branch_losses_w(lab_net, v_oracle), rel=1e-9, abs=1e-6)
 
     # exports roughly injection minus local load, reduced by losses
-    assert sol.pcc_power_w < 0
+    assert sol.pcc_power_pu * lab_net.s_base_va < 0
     assert sol.losses_w > 0
     local_load = 3e3 - 2e3  # loads minus legacy feed-in
-    assert sol.pcc_power_w == pytest.approx(-(15.5e3 - local_load - sol.losses_w), abs=1e-6)
+    assert sol.pcc_power_pu * lab_net.s_base_va == pytest.approx(-(15.5e3 - local_load - sol.losses_w), abs=1e-6)
 
 
 def test_kirchhoff_balance(lab_net, lab_devices):
@@ -177,13 +177,13 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_determinism_bit_identical(lab_net, lab_devices):
-    inj = base_injections(lab_net, lab_devices)
+    inj = injections(lab_net, lab_devices, np.zeros(lab_devices.n_setpoints))
     inj[0, 0] += 0.1
     a = solve_power_flow(lab_net, inj, 1.02)
     b = solve_power_flow(lab_net, inj, 1.02)
     assert np.array_equal(a.v_mag, b.v_mag)
     assert np.array_equal(a.v_ang, b.v_ang)
-    assert a.pcc_power_w == b.pcc_power_w
+    assert a.pcc_power_pu * lab_net.s_base_va == b.pcc_power_pu * lab_net.s_base_va
     assert a.iterations == b.iterations
 
 
@@ -215,7 +215,7 @@ def test_injections_shape_checked(two_bus):
 
 
 def test_slack_bus_state_pinned(lab_net, lab_devices):
-    inj = base_injections(lab_net, lab_devices)
+    inj = injections(lab_net, lab_devices, np.zeros(lab_devices.n_setpoints))
     sol = solve_power_flow(lab_net, inj, 1.048)
     assert sol.v_mag[0] == 1.048
     assert sol.v_ang[0] == 0.0
@@ -241,7 +241,7 @@ def test_each_voltage_point_evaluated_once(monkeypatch, lab_net, lab_devices):
     for net, devices, slack_v in ((lab_net, lab_devices, 1.04), (hair_net, hair_devices, 1.02)):
         for calls in seen.values():
             calls.clear()
-        inj = base_injections(net, devices)
+        inj = injections(net, devices, np.zeros(devices.n_setpoints))
         sol = solve_power_flow(net, inj, slack_v, droop=droop_law(net, devices))
         assert sol.converged and sol.iterations >= 2
         for name, calls in seen.items():
@@ -292,4 +292,4 @@ def test_collapsed_state_raises_singular_on_lab_feeder(lab_net, lab_devices):
     # every PQ voltage at zero: the angle columns vanish, an exact zero pivot
     x0 = (np.zeros(lab_net.n_buses), np.zeros(lab_net.n_buses))
     with pytest.raises(SingularJacobianError, match="singular Jacobian at iteration 0"):
-        solve_power_flow(lab_net, base_injections(lab_net, lab_devices), 1.0, x0=x0)
+        solve_power_flow(lab_net, injections(lab_net, lab_devices, np.zeros(lab_devices.n_setpoints)), 1.0, x0=x0)

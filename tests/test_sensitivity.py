@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flexloop.sensitivity as sensitivity
-from flexloop.grid import Fpu, NetworkSpec, base_injections, build_devices, build_network, droop_law, pq_positions
+from flexloop.grid import Fpu, NetworkSpec, build_devices, build_network, droop_law, injections, pq_positions
 from flexloop.harness import random_feeder
 from flexloop.plant import steady_state_response
 from flexloop.powerflow import PowerFlowSolution, solve_power_flow
@@ -10,8 +10,6 @@ from flexloop.sensitivity import SensitivityError, compute_sensitivity, lineariz
 
 from conftest import close_a_loop, make_depth_first_feeder, make_two_bus, random_injections
 from oracles import power_jacobian, zbus_power_flow
-
-import flexloop.grid as grid
 
 
 def test_reactive_injection_raises_voltage():
@@ -51,13 +49,12 @@ def test_columns_match_independent_central_differences(lab_net, lab_devices):
     u0 = np.array([0.02, 0.0, 0.01, -0.01])
     sens = compute_sensitivity(lab_net, lab_devices, u0)
     h = 2e-4  # different step than the implementation default
-    base = base_injections(lab_net, lab_devices)
     for j in range(4):
         up, um = u0.copy(), u0.copy()
         up[j] += h
         um[j] -= h
-        vp, pccp = zbus_power_flow(lab_net, grid.add_setpoint_injections(base, lab_net, lab_devices, up), 1.0)
-        vm, pccm = zbus_power_flow(lab_net, grid.add_setpoint_injections(base, lab_net, lab_devices, um), 1.0)
+        vp, pccp = zbus_power_flow(lab_net, injections(lab_net, lab_devices, up), 1.0)
+        vm, pccm = zbus_power_flow(lab_net, injections(lab_net, lab_devices, um), 1.0)
         dv = (np.abs(vp[1:]) - np.abs(vm[1:])) / (2 * h)
         dpcc = (pccp - pccm) / (2 * h)
         np.testing.assert_allclose(sens.dv[:, j], dv, atol=1e-5)
@@ -126,7 +123,7 @@ def test_linearize_matches_dense_solve(lab_net, lab_devices):
     cases += [random_feeder(s)[:2] for s in range(5)]
     rng = np.random.default_rng(4)
     for net, devices in cases:
-        inj = base_injections(net, devices) + random_injections(rng, net.n_buses - 1, 0.002)
+        inj = injections(net, devices, np.zeros(devices.n_setpoints)) + random_injections(rng, net.n_buses - 1, 0.002)
         sol = solve_power_flow(net, inj)
         assert sol.converged
         full = power_jacobian(net, sol.v_mag, sol.v_ang)
@@ -141,6 +138,6 @@ def test_linearize_matches_dense_solve(lab_net, lab_devices):
 
 def test_linearize_at_collapsed_state_raises(lab_net, lab_devices):
     v_mag = np.concatenate([[1.0], np.zeros(lab_net.n_buses - 1)])
-    collapsed = PowerFlowSolution(v_mag, np.zeros(lab_net.n_buses), 0.0, 0.0, 0.0, False, 0, 1.0)
+    collapsed = PowerFlowSolution(v_mag, np.zeros(lab_net.n_buses), 0.0, 0.0, False, 0, 1.0)
     with pytest.raises(SensitivityError, match="singular Jacobian"):
         linearize(lab_net, lab_devices, collapsed)
