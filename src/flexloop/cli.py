@@ -132,7 +132,7 @@ def _run(args) -> int:
         return 0
 
     log = run_closed_loop(net, devices, scenario, cfgs[0], plant_cfg)
-    log.write_csv(out_dir / "telemetry.csv")
+    (out_dir / "telemetry.csv").write_text(log.to_csv())
     if log.records:  # a run aborted at its first sample has no KPIs
         (out_dir / "kpi.txt").write_text(summarize(log).render())
     if log.abort_reason:
@@ -149,8 +149,7 @@ def _run(args) -> int:
             net,
             devices,
             p_set_pu=log.records[-1].p_set,
-            v_min=log.v_min,
-            v_max=log.v_max,
+            band=args.band,
             slack_v=end.slack_v,
             loads_pu=end.loads,
             ev_pu=end.ev_power,

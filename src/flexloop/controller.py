@@ -33,8 +33,22 @@ MAX_MEASURED_PU = 1e3  # |v|, |p_pcc|, |p_set| or |u| above this is no physical 
 
 class InvalidMeasurementError(ValueError):
     """Measurement or PCC request has a non-finite or unphysical channel
-    (beyond ``MAX_MEASURED_PU``), or the measured buses or voltage vector
-    do not match the monitored set. Timestamps are not checked."""
+    (beyond ``MAX_MEASURED_PU``), a non-finite timestamp (its order is not
+    checked), or buses or voltages that do not match the monitored set."""
+
+
+def _not_complex(x):  # float() takes NumPy's complex values with a ComplexWarning, dropping the imaginary part
+    if np.iscomplexobj(x):
+        raise TypeError(f"a real number is required, not {type(x).__name__}")
+    return x
+
+
+def real_request(p_set_pu) -> float:
+    """The PCC request as a float; NaN if it is not a real number (complex, or not convertible by ``float()``)."""
+    try:
+        return float(_not_complex(p_set_pu))
+    except (TypeError, ValueError):
+        return float("nan")
 
 
 def check_request(p_set_pu: float) -> None:
@@ -49,9 +63,9 @@ def check_request(p_set_pu: float) -> None:
 class Measurement:
     """One sample of grid feedback: bus voltages and PCC active power.
 
-    Validity is the value: a channel is valid exactly when it is finite and
-    within ``MAX_MEASURED_PU`` in magnitude, so a dropout is a NaN channel.
-    The channels are coerced to floats on construction.
+    Validity is the value: a channel is valid exactly when it is finite and within
+    ``MAX_MEASURED_PU`` in magnitude, so a dropout is a NaN channel, and the timestamp
+    when finite. Channels are coerced to floats when built; a complex one raises ``TypeError``.
     """
 
     v: np.ndarray
@@ -60,15 +74,16 @@ class Measurement:
     timestamp: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        object.__setattr__(self, "v", np.asarray(_not_complex(self.v), dtype=float))
         object.__setattr__(self, "bus_ids", tuple(self.bus_ids))
-        object.__setattr__(self, "p_pcc", float(self.p_pcc))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "p_pcc", float(_not_complex(self.p_pcc)))
+        object.__setattr__(self, "timestamp", float(_not_complex(self.timestamp)))
 
     @property
     def all_valid(self) -> bool:
-        """Every channel finite and within ``MAX_MEASURED_PU``."""
-        return bool(abs(self.p_pcc) <= MAX_MEASURED_PU and np.all(np.abs(self.v) <= MAX_MEASURED_PU))
+        """Every channel finite and within ``MAX_MEASURED_PU``, and the timestamp finite."""
+        return bool(abs(self.p_pcc) <= MAX_MEASURED_PU and np.all(np.abs(self.v) <= MAX_MEASURED_PU)
+                    and np.isfinite(self.timestamp))
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,7 @@ class ControllerConfig:
         """The projection QP's rows, built at this config's first step, so
         once per run."""
         return QpProblem(g=np.zeros(len(self.u_min)), alpha=self.alpha, a_eq=self.sensitivity.dpcc[None, :],
-                         eq_soft=np.array([True]), rho=self.rho, a_in=self.sensitivity.dv)
+                         eq_soft=True, rho=self.rho, a_in=self.sensitivity.dv)
 
     @staticmethod
     def for_network(
@@ -220,17 +235,14 @@ def controller_step(
     exactly. It raises nothing: it holds with an alarm if the setpoints
     have the wrong shape or an entry beyond ``MAX_MEASURED_PU``, if the
     config has no sensitivity, if the measurement or request is invalid (a
-    non-finite or unphysical channel, buses that do not match the monitored
-    set, or a request that ``float()`` cannot convert, recorded as NaN) or
+    non-finite or unphysical channel or timestamp, buses that do not match the
+    monitored set, or a request that is not a real number, recorded as NaN) or
     if the projection has no feasible direction even after softening the
     tracking row. The projection starts from ``warm_start``, the previous
     record's ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
     """
     u = np.asarray(u, dtype=float)
-    try:
-        p_set_pu = float(p_set_pu)
-    except (TypeError, ValueError):
-        p_set_pu = float("nan")  # held below, as a NaN request
+    p_set_pu = real_request(p_set_pu)  # held below if NaN
     if u.shape != cfg.u_min.shape or not np.all(np.abs(u) <= MAX_MEASURED_PU):
         return u.copy(), _record(u, y, p_set_pu, "held_invalid_setpoints")
     if cfg.sensitivity is None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import (
+    DEFAULT_BAND,
     ControllerConfig,
     InvalidMeasurementError,
     Measurement,
@@ -24,6 +25,7 @@ from .controller import (
     assemble_projection_qp,
     check_request,
     controller_step,
+    real_request,
 )
 from .grid import (
     DeviceSet, NetworkModel, Branch, Bus, Fpu, Load, NetworkSpec, build_devices, build_network, droop_law,
@@ -55,7 +57,6 @@ class InfeasibleRequestError(RuntimeError):
     """The requested PCC exchange is outside the reachable set."""
 
     def __init__(self, p_set_pu: float, closest_pu: float, binding: tuple[str, ...], s_base_va: float):
-        self.p_set_pu = p_set_pu
         self.closest_pu = closest_pu
         self.binding = binding
         kw = s_base_va / 1e3
@@ -151,10 +152,6 @@ class TelemetryLog:
             ]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
     def csv_hash(self) -> str:
         return hashlib.sha256(self.to_csv().encode()).hexdigest()
@@ -351,15 +348,15 @@ def reference_opf(
     devices: DeviceSet,
     *,
     p_set_pu: float,
-    v_min: np.ndarray | None = None,
-    v_max: np.ndarray | None = None,
+    band: float = DEFAULT_BAND,
     slack_v: float = 1.0,
     loads_pu: np.ndarray | None = None,
     ev_pu: np.ndarray | None = None,
     seed: int | None = None,
 ) -> OpfResult:
-    """Minimize total squared feed-in subject to the band, the device boxes
-    and exact PCC tracking, against the true steady-state plant response.
+    """Minimize total squared feed-in subject to the loop's voltage band
+    (``band`` p.u. around nominal), the device boxes and exact PCC tracking,
+    against the true steady-state plant response.
 
     Projected-gradient descent whose every step is the controller's
     projection QP (:func:`~flexloop.controller.assemble_projection_qp`,
@@ -370,8 +367,9 @@ def reference_opf(
     step posed at the returned point: ``stationarity`` is that step's
     ``max |w|``, zero exactly at a KKT point of the linearized problem
     (``inf`` if the step is not ``optimal``), and ``binding`` is its active
-    set without the tracking row. An unphysical request raises a
-    ``ValueError`` before the first power flow, and an out-of-reach one
+    set without the tracking row. A request that is not a real number or is
+    unphysical raises ``InvalidMeasurementError`` (a ``ValueError``) before
+    the first power flow, and an out-of-reach one
     :class:`InfeasibleRequestError` with the closest attainable PCC power
     and the binding limits.
 
@@ -380,10 +378,9 @@ def reference_opf(
     """
     from .qp import solve_qp, STATUS_OPTIMAL
 
+    p_set_pu = real_request(p_set_pu)
     check_request(p_set_pu)
-    cfg = ControllerConfig.for_network(net, devices, alpha=OPF_STEP, tracking_gain=1.0)
-    if v_min is not None and v_max is not None:
-        cfg = replace(cfg, v_min=v_min, v_max=v_max)
+    cfg = ControllerConfig.for_network(net, devices, alpha=OPF_STEP, band=band, tracking_gain=1.0)
     lb, ub = cfg.u_min, cfg.u_max
     droop = droop_law(net, devices)
 

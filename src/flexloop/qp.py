@@ -3,7 +3,7 @@
 Solves
 
     min  || w + g ||^2
-    s.t. alpha * A_eq w  = b_eq          (equality rows, may be declared soft)
+    s.t. alpha * A_eq w  = b_eq          (equality rows, may soften together)
          lb_in <= alpha * A_in w <= ub_in   (two-sided rows)
          lb_box <= alpha * w <= ub_box      (box rows)
 
@@ -25,8 +25,8 @@ working rows ``W``. A row whose pivot vanishes against the terms it is
 computed from lies in their span; with no working row to drop for it, the
 rows are infeasible.
 
-Soft equality rows are a fallback: the solver first treats every equality
-as hard; only if that system is infeasible are the rows flagged soft moved
+Softening is a fallback: the solver first treats the equality rows as hard;
+only if that system is infeasible, and ``eq_soft`` is set, do they all move
 into the objective as a quadratic penalty with weight ``rho``, and the
 residual is reported as slack. If the remaining hard constraints are still
 inconsistent the result is an infeasibility certificate naming the
@@ -74,14 +74,14 @@ class QpProblem:
     ``lb_box``/``ub_box`` bound the applied update ``alpha * w`` (device
     limits shifted by the current setpoint), ``lb_in``/``ub_in`` bound the
     linearized voltage response, and the equality rows pin the linearized
-    PCC power.
+    PCC power; with ``eq_soft`` they soften, together, if they are infeasible.
     """
 
     g: np.ndarray
     alpha: float = 1.0
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    eq_soft: np.ndarray | None = None
+    eq_soft: bool = False
     rho: float = DEFAULT_RHO
     a_in: np.ndarray | None = None
     lb_in: np.ndarray | None = None
@@ -95,10 +95,9 @@ class QpProblem:
         self.a_eq = _as_matrix(self.a_eq, p)
         m = self.a_eq.shape[0]
         self.b_eq = _as_vector(self.b_eq, m, 0.0)
-        if self.eq_soft is None:
-            self.eq_soft = np.zeros(m, dtype=bool)
-        else:
-            self.eq_soft = np.atleast_1d(np.asarray(self.eq_soft, dtype=bool))
+        if np.unique(np.asarray(self.eq_soft, dtype=bool)).size > 1:
+            raise ValueError("eq_soft is one flag for all equality rows, not a mask of mixed values")
+        self.eq_soft = bool(np.any(self.eq_soft))
         self.a_in = _as_matrix(self.a_in, p)
         k = self.a_in.shape[0]
         self.lb_in = _as_vector(self.lb_in, k, -np.inf)
@@ -106,7 +105,7 @@ class QpProblem:
         self.lb_box = _as_vector(self.lb_box, p, -np.inf)
         self.ub_box = _as_vector(self.ub_box, p, np.inf)
 
-        want = dict(a_eq=(m, p), b_eq=(m,), eq_soft=(m,), a_in=(k, p), lb_in=(k,), ub_in=(k,), lb_box=(p,), ub_box=(p,))
+        want = dict(a_eq=(m, p), b_eq=(m,), a_in=(k, p), lb_in=(k,), ub_in=(k,), lb_box=(p,), ub_box=(p,))
         bad = [name for name, shape in want.items() if getattr(self, name).shape != shape]
         if bad:
             raise ValueError(f"inconsistent dimensions of {', '.join(bad)} with {p} variables and {m} + {k} rows")
@@ -218,12 +217,12 @@ def _rhs(p: QpProblem) -> np.ndarray:  # h of each sample; an absent bound is +i
 class _Rows:
     """A problem's fixed part: ``N`` and per stage ``(H^-1, N H^-1)``, the
     full ``N H^-1 N'`` never formed. ``H`` is ``2 I``, plus ``2 rho Es' Es``
-    when the soft rows ``Es`` are penalized: by Woodbury ``H^-1 = (I - Es'
+    when ``eq_soft`` penalizes the equality rows ``Es``: by Woodbury ``H^-1 = (I - Es'
     (I / rho + Es Es')^-1 Es) / 2``, applied to the rows of an array."""
 
     def __init__(self, p: QpProblem):
         self.N = _stacked_rows(p)
-        self.Es, self.rho = self.N[: p.n_eq][p.eq_soft], p.rho
+        self.Es, self.rho = self.N[: p.n_eq if p.eq_soft else 0], p.rho
         self.hard = self._stage(lambda x: 0.5 * x)
 
     def _stage(self, hinv):
@@ -256,13 +255,13 @@ def _tri(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:  # L^-1 b,
     return dtrtrs(L, b, lower=1, trans=trans)[0] if len(b) else b
 
 
-def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, eq_rows: np.ndarray,
+def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.ndarray, m: int,
                 seed: list[int], ineq: np.ndarray, max_iter: int):
     """Dual active-set loop of Goldfarb and Idnani in range-space form.
 
     Minimizes ``0.5 w'Hw + c'w`` given ``N H^-1`` as ``NH_all`` and the free
-    minimizer ``w_free = -H^-1 c``. It starts from the equality rows
-    ``eq_rows`` and the inequality rows ``seed`` (each skipped if in the span
+    minimizer ``w_free = -H^-1 c``. It starts from the first ``m`` rows, as
+    equalities, and the inequality rows ``seed`` (each skipped if in the span
     of the earlier ones), less one at a time the seed row of most negative
     multiplier; ``ineq`` masks the rows held as ``N_i w <= h_i``.
     ``L`` is the lower Cholesky factor of ``N_W H^-1 N_W'``; a row ``r``
@@ -303,7 +302,7 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
         y = _tri(L, _tri(L, r_free[work]), trans=1)
         return w_free - y @ NH_all[work], y
 
-    for row in (*eq_rows, *seed):
+    for row in (*range(m), *seed):
         col, _, pivot = candidate(row)
         if pivot:
             L, size = grow(row, col, pivot)
@@ -315,7 +314,7 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
         if not np.any(seeded < 0.0):
             break
         L, size = shrink(n_eq + int(np.argmin(seeded)))
-    if len(eq_rows) and np.max(np.abs(N[eq_rows] @ w - h[eq_rows])) > _VIOL_TOL:
+    if m and np.max(np.abs(N[:m] @ w - h[:m])) > _VIOL_TOL:
         return STATUS_INFEASIBLE, w, lam, 0
     row = -1  # the row being added; kept until it joins the working set
     steps = 0
@@ -355,32 +354,29 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
         L, size = shrink(n_eq + int(shrinking[drop]))
 
 
-def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized):
+def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized: bool):
     """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
     grad = 2.0 * (w + p.g)
-    if penalized is not None and np.any(penalized):
-        Es = p.alpha * p.a_eq[penalized]
-        bs = p.b_eq[penalized]
-        grad = grad + 2.0 * p.rho * (Es.T @ (Es @ w - bs))
-    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
     m = p.n_eq
+    if penalized:
+        grad = grad + 2.0 * p.rho * (N[:m].T @ (N[:m] @ w - p.b_eq))
+    stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
     r = N @ w - h  # -inf on absent bounds
-    hard = np.ones(m, dtype=bool) if penalized is None else ~penalized
-    primal = max(np.max(np.abs(r[:m][hard]), initial=0.0), np.max(r[m:], initial=0.0))
+    primal = max(np.max(np.abs(r[: 0 if penalized else m]), initial=0.0), np.max(r[m:], initial=0.0))
     gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
     comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
     return stationarity, float(primal), comp
 
 
 def kkt_residuals(
-    p: QpProblem, w: np.ndarray, multipliers: np.ndarray, *, penalized: np.ndarray | None = None
+    p: QpProblem, w: np.ndarray, multipliers: np.ndarray, *, penalized: bool = False
 ) -> tuple[float, float, float]:
     """Stationarity, primal-feasibility and complementarity infinity norms.
 
     ``multipliers`` holds one entry per row, in row-id order
     (:meth:`QpProblem.row_labels`), as in :attr:`QpSolution.multipliers`.
-    ``penalized`` marks equality rows handled as a quadratic penalty; those
-    rows contribute a gradient term instead of a primal residual.
+    ``penalized`` (:attr:`QpSolution.softened`) says the equality rows were a
+    quadratic penalty: they give a gradient term, not a primal residual.
     """
     return _kkt(p, p._rows.N, _rhs(p), np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
 
@@ -392,8 +388,8 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
     status the residuals are below :data:`KKT_TOL`, stationarity and
     complementarity relative to the largest multiplier (at least 1).
     Infeasible hard systems yield ``status="infeasible"`` with the id of the
-    maximally violated row, after the soft-equality fallback (if any rows
-    allow it) has been tried. As ``w`` scales with ``g`` and the right-hand
+    maximally violated row, after the soft-equality fallback (if ``eq_soft``
+    allows it) has been tried. As ``w`` scales with ``g`` and the right-hand
     sides, a ``g``, ``b_eq`` or bound excluding ``w = 0`` beyond 2 in size is
     solved and certified at an exact power-of-two scale, free of overflow.
     Each stage's loop starts from the inequality rows set in the bitmask
@@ -420,21 +416,20 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
     cap_iters = 0
 
     for soften in (False, True):
-        if soften and not np.any(p.eq_soft):
+        if soften and not (p.eq_soft and m):
             break
-        eq_rows = np.flatnonzero(~p.eq_soft) if soften else np.arange(m)
         hinv, NH = rows.soft if soften else rows.hard
-        c = p.g - p.rho * (rows.Es.T @ p.b_eq[p.eq_soft]) if soften else p.g
-        status, w, lam, iters = _dual_solve(NH, -hinv(2.0 * c), rows.N, h, eq_rows, seed, ineq, max_iter)
+        c = p.g - p.rho * (rows.Es.T @ p.b_eq) if soften else p.g
+        status, w, lam, iters = _dual_solve(NH, -hinv(2.0 * c), rows.N, h, 0 if soften else m, seed, ineq, max_iter)
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        stat, primal, comp = _kkt(p, rows.N, h, w, lam, p.eq_soft if soften else None)
+        stat, primal, comp = _kkt(p, rows.N, h, w, lam, soften)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
         binding = np.abs(rows.N @ w - h) <= ACTIVE_TOL
-        binding[:m] = ~p.eq_soft if soften else True
+        binding[:m] = not soften
         return QpSolution(
             w=w,
             status=status,
@@ -458,7 +453,7 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
         stationarity=float("nan"), primal=worst, complementarity=float("nan"),
         active_set=(), multipliers=None,
         eq_slack=r[:m],
-        softened=bool(np.any(p.eq_soft)),
+        softened=p.eq_soft and m > 0,
         iterations=cap_iters,
         most_violated=int(np.flatnonzero(viol >= worst - 1e-12)[0]),
     )

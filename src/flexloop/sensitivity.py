@@ -11,7 +11,7 @@ resulting model mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class SensitivityMatrix:
 
     dv: np.ndarray
     dpcc: np.ndarray
-
-    def scaled(self, factors_v: np.ndarray, factors_pcc: np.ndarray) -> "SensitivityMatrix":
-        """Entry-wise scaled copy, used for model-mismatch studies."""
-        return replace(self, dv=self.dv * factors_v, dpcc=self.dpcc * factors_pcc)
 
 
 def linearize(

@@ -185,11 +185,11 @@ def enumerate_qp(p: QpProblem, soften: bool = False):
     rows = [row for group in groups for row in group]
     n = p.n
     if soften:
-        soft = p.eq_soft
-        e_hard = p.alpha * p.a_eq[~soft]
-        b_hard = p.b_eq[~soft]
-        e_pen = p.alpha * p.a_eq[soft]
-        b_pen = p.b_eq[soft]
+        k = 0 if p.eq_soft else p.n_eq  # the rows [k:] are penalized
+        e_hard = p.alpha * p.a_eq[:k]
+        b_hard = p.b_eq[:k]
+        e_pen = p.alpha * p.a_eq[k:]
+        b_pen = p.b_eq[k:]
         h = 2.0 * (np.eye(n) + p.rho * e_pen.T @ e_pen)
         c = 2.0 * (p.g - p.rho * e_pen.T @ b_pen)
     else:

@@ -21,7 +21,7 @@ from flexloop.harness import (
 from flexloop.plant import PlantConfig, Scenario, ScenarioEvent
 from flexloop.powerflow import solve_power_flow
 from flexloop.qp import solve_qp
-from flexloop.sensitivity import compute_sensitivity
+from flexloop.sensitivity import SensitivityMatrix, compute_sensitivity
 
 from conftest import make_two_bus, record_acceptance
 from oracles import (
@@ -180,8 +180,8 @@ def test_criterion_6_model_mismatch_robustness(lab_net, lab_devices, exp_a):
     failures = []
     for seed in range(20):
         rng = np.random.default_rng(seed + 1000)
-        scaled = sens.scaled(
-            rng.uniform(0.5, 1.5, sens.dv.shape), rng.uniform(0.5, 1.5, sens.dpcc.shape)
+        scaled = SensitivityMatrix(
+            sens.dv * rng.uniform(0.5, 1.5, sens.dv.shape), sens.dpcc * rng.uniform(0.5, 1.5, sens.dpcc.shape)
         )
         cfg = ControllerConfig.for_network(lab_net, lab_devices, sensitivity=scaled)
         log = run_closed_loop(lab_net, lab_devices, exp_a, cfg, PlantConfig())

@@ -79,6 +79,20 @@ def test_compare_oracle_sees_end_of_scenario_disturbances(tmp_path, capsys):
     assert fields["oracle_binding"] == "none"
 
 
+def test_compare_oracle_checks_the_runs_band(tmp_path, capsys):
+    # the oracle poses the loop's own band: at 4.5 % exp_a's request is out
+    # of its reach
+    code, out, err = run_cli(
+        capsys, "--mode", "compare-oracle", "--scenario", "exp_a_14p5kw", "--band", "0.045",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert err == (
+        "error: requested PCC power -14.500 kW unreachable; closest attainable 1.019 kW, "
+        "binding limits: v_max@row0, u_min[0]\n"
+    )
+
+
 def test_sweep_alpha_settling_non_increasing_until_unstable(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "--mode", "sweep-alpha", "--scenario", "exp_a_14p5kw",

@@ -181,6 +181,33 @@ def test_non_finite_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     assert rec.qp_status == "held_invalid_measurement"
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_timestamp_holds_with_alarm(lab_net, lab_devices, sens, t):
+    # a timestamp must be finite; its order is not checked
+    cfg = _cfg(lab_net, lab_devices, sens)
+    u = np.array([0.01, 0.0, 0.02, 0.0])
+    y = _measurement(cfg, t=t)
+    assert not y.all_valid
+    u_next, rec = controller_step(u, y, -0.1, cfg)
+    np.testing.assert_array_equal(u_next, u)
+    assert rec.alarm
+    assert rec.qp_status == "held_invalid_measurement"
+
+
+@pytest.mark.parametrize(
+    "v, p_pcc",
+    [(np.ones(4), np.complex128(0.0)), (np.ones(4, dtype=complex), 0.0), (np.ones(4), 1 + 0j)],
+    ids=["numpy-complex-pcc", "complex-voltages", "complex-pcc"],
+)
+def test_complex_measurement_raises_type_error(lab_net, v, p_pcc):
+    # NumPy's complex values used to pass with a ComplexWarning, their
+    # imaginary part dropped; each raises as Python's complex does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            Measurement(v, lab_net.pq_ids, p_pcc, 0.0)
+
+
 @pytest.mark.parametrize(
     "v_bad, p_pcc",
     [(1e300, 0.0), (-2e3, 0.0), (1.0, 1e300), (1.0, -2e3)],
@@ -203,9 +230,12 @@ def test_unphysical_measurement_holds_with_alarm(lab_net, lab_devices, sens, v_b
     assert _measurement(cfg, v=MAX_MEASURED_PU, p_pcc=-MAX_MEASURED_PU).all_valid
 
 
-# requests that float() cannot convert: each used to raise, or (complex)
-# to step with a ComplexWarning
-_NON_REAL = {"list": [-0.1], "2-vector": np.array([-0.1, 0.0]), "none": None, "complex": 1 + 0j, "string": "tenth"}
+# requests that are not real numbers: each used to raise, or (complex) to
+# step with a ComplexWarning
+_NON_REAL = {
+    "list": [-0.1], "2-vector": np.array([-0.1, 0.0]), "none": None, "complex": 1 + 0j, "string": "tenth",
+    "numpy-complex": np.complex128(-0.1),
+}
 
 
 @pytest.mark.parametrize(
@@ -396,7 +426,7 @@ def configs(lab_net, lab_devices, sens):
     u=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
     v=st.lists(st.floats(0.96, 1.04), min_size=4, max_size=4),
     inputs=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
-    faults=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(_EXTREMES)), max_size=2),
+    faults=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(_EXTREMES)), max_size=2),
     reshape=st.none() | st.sampled_from(sorted(_RESHAPES)),
     as_lists=st.booleans(),
     warm_start=st.integers(0, 2**17 - 1),
@@ -407,11 +437,11 @@ def test_property_controller_step_holds_or_stays_in_the_box(
 ):
     # Clean inputs with faults drawn into them: an extreme value (NaN,
     # +/-inf, +/-1e308 or the bound itself) in any of the ten channels
-    # (four setpoints, four voltages, the PCC power and the request), a
-    # wrong shape, a foreign bus or a request that is not a real number; a
-    # config may have no sensitivity.
+    # (four setpoints, four voltages, the PCC power and the request) or the
+    # timestamp, a wrong shape, a foreign bus or a request that is not a
+    # real number; a config may have no sensitivity.
     cfg = configs[which]
-    channels = u + v + list(inputs)
+    channels = u + v + list(inputs) + [0.0]
     for i, x in faults:
         channels[i] = x
     u, v, bus_ids = channels[:4], channels[4:8], cfg.monitored
@@ -419,14 +449,14 @@ def test_property_controller_step_holds_or_stays_in_the_box(
         u, v, bus_ids = _RESHAPES[reshape](u, v, bus_ids)
     if not as_lists:
         u, v = np.array(u), np.array(v)
-    y = Measurement(v, bus_ids, channels[8], 0.0)
+    y = Measurement(v, bus_ids, channels[8], channels[10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u_next, rec = controller_step(u, y, channels[9] if non_real is None else _NON_REAL[non_real], cfg, warm_start)
 
     u = np.asarray(u, dtype=float)
     valid = (cfg.sensitivity is not None and reshape is None and non_real is None
-             and np.all(np.abs(channels) <= MAX_MEASURED_PU))
+             and np.all(np.abs(channels[:10]) <= MAX_MEASURED_PU) and np.isfinite(channels[10]))
     assert rec.qp_status.startswith("held_invalid") != valid
     assert rec.alarm == rec.qp_status.startswith("held_")
     if rec.alarm:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import flexloop.harness
-from flexloop.controller import ControllerConfig, StepRecord, controller_step
+from flexloop.controller import ControllerConfig, InvalidMeasurementError, StepRecord, controller_step
 from flexloop.grid import Branch, Bus, Fpu, NetworkSpec, build_devices, build_network, injections
 from flexloop.harness import (
     InfeasibleRequestError,
@@ -361,14 +363,32 @@ def test_opf_infeasible_reports_closest_and_binding(lab_net, lab_devices):
     assert "closest attainable -28.722 kW" in str(err)
 
 
-@pytest.mark.parametrize("p_set_pu", [np.nan, -np.inf, 2e3])
+@pytest.mark.parametrize(
+    "p_set_pu",
+    [np.nan, -np.inf, 2e3, [-0.1], None, "tenth", np.complex128(-0.1)],
+    ids=["nan", "-inf", "2000.0", "list", "none", "string", "numpy-complex"],
+)
 def test_opf_rejects_unphysical_request_before_any_power_flow(lab_net, lab_devices, monkeypatch, p_set_pu):
+    # a request that is not a real number is coerced to NaN, as the
+    # controller step does; a list used to raise TypeError from abs()
     def refuse(*args, **kwargs):
         raise AssertionError("power flow run for an unphysical request")
 
     monkeypatch.setattr(flexloop.harness, "steady_state_response", refuse)
-    with pytest.raises(ValueError, match="PCC power request must be finite and within 1000 p.u."):
-        reference_opf(lab_net, lab_devices, p_set_pu=p_set_pu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMeasurementError, match="PCC power request must be finite and within 1000 p.u."):
+            reference_opf(lab_net, lab_devices, p_set_pu=p_set_pu)
+
+
+def test_opf_checks_the_given_band(lab_net, lab_devices):
+    # at exp_a's slack voltage of 1.048 p.u. a 4.5 % band caps bus 2 (row 0)
+    # below the slack, so exp_a's export is out of reach; the default 5 %
+    # band reaches it
+    with pytest.raises(InfeasibleRequestError) as exc:
+        reference_opf(lab_net, lab_devices, p_set_pu=-0.145, band=0.045, slack_v=1.048)
+    assert exc.value.binding == ("v_max@row0", "u_min[0]")
+    assert reference_opf(lab_net, lab_devices, p_set_pu=-0.145, slack_v=1.048).binding == ("v_max@row3",)
 
 
 @pytest.mark.parametrize(

@@ -46,13 +46,12 @@ def test_one_dimensional_box_active():
 def _random_problem(rng, n, with_eq=True, soft=False):
     g = rng.uniform(-2, 2, n)
     w_feas = rng.uniform(-1, 1, n)
-    a_eq = b_eq = eq_soft = None
+    a_eq = b_eq = None
     alpha = float(rng.uniform(0.2, 1.5))
     if with_eq:
         m = int(rng.integers(1, 3))
         a_eq = rng.uniform(-1, 1, (m, n))
         b_eq = alpha * (a_eq @ w_feas)
-        eq_soft = np.full(m, soft)
     # box on a subset of coordinates, centered to keep w_feas feasible
     lb_box = np.full(n, -np.inf)
     ub_box = np.full(n, np.inf)
@@ -68,7 +67,7 @@ def _random_problem(rng, n, with_eq=True, soft=False):
         lb_in = mid - rng.uniform(0.05, 1.0, k)
         ub_in = mid + rng.uniform(0.05, 1.0, k)
     return QpProblem(
-        g=g, alpha=alpha, a_eq=a_eq, b_eq=b_eq, eq_soft=eq_soft,
+        g=g, alpha=alpha, a_eq=a_eq, b_eq=b_eq, eq_soft=soft,
         a_in=a_in, lb_in=lb_in, ub_in=ub_in, lb_box=lb_box, ub_box=ub_box,
     )
 
@@ -137,7 +136,7 @@ def test_soft_equality_fallback_reports_slack():
         alpha=1.0,
         a_eq=np.array([[1.0]]),
         b_eq=np.array([2.0]),
-        eq_soft=np.array([True]),
+        eq_soft=True,
         ub_box=np.array([0.5]),
     )
     sol = solve_qp(p)
@@ -155,7 +154,7 @@ def test_hard_equality_preferred_when_feasible():
         g=np.array([1.0, 1.0]),
         a_eq=np.array([[1.0, -1.0]]),
         b_eq=np.array([0.4]),
-        eq_soft=np.array([True]),
+        eq_soft=True,
     )
     sol = solve_qp(p)
     assert sol.status == STATUS_OPTIMAL
@@ -169,7 +168,7 @@ def test_infeasible_names_most_violated_row():
         g=np.zeros(2),
         a_eq=np.array([[1.0, 1.0]]),
         b_eq=np.array([4.0]),
-        eq_soft=np.array([False]),
+        eq_soft=False,
         ub_box=np.array([1.0, 1.0]),
     )
     sol = solve_qp(p)
@@ -233,6 +232,15 @@ def test_dimension_validation():
         QpProblem(g=np.array([1.0]), lb_box=np.array([1.0]), ub_box=np.array([0.0]))
 
 
+def test_equality_rows_soften_together():
+    # one flag per problem: a mask of mixed values is rejected, a uniform one
+    # (as an older to_dict wrote) is read as its flag
+    with pytest.raises(ValueError, match="eq_soft is one flag"):
+        QpProblem(g=np.zeros(2), a_eq=np.eye(2), eq_soft=np.array([True, False]))
+    assert QpProblem(g=np.zeros(2), a_eq=np.eye(2), eq_soft=np.array([True, True])).eq_soft is True
+    assert QpProblem(g=np.zeros(2), a_eq=np.eye(2), eq_soft=np.array([False, False])).eq_soft is False
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -267,7 +275,7 @@ def test_softened_optimum_certified_relative_to_multipliers():
         alpha=1.0280501935178907,
         a_eq=np.array([[-0.96694473, 0.62654048]]),
         b_eq=np.array([1.23826673]),
-        eq_soft=np.array([True]),
+        eq_soft=True,
         a_in=np.array([[0.21327155, 0.45899312], [0.08724998, 0.87014485]]),
         lb_in=np.array([0.13170711, -1.494523]),
         ub_in=np.array([1.41781352, -1.44414464]),
@@ -283,7 +291,7 @@ def test_softened_optimum_certified_relative_to_multipliers():
     assert max(sol.stationarity / size, sol.primal, sol.complementarity / size) <= KKT_TOL
     # the reported triple stays absolute
     assert (sol.stationarity, sol.primal, sol.complementarity) == kkt_residuals(
-        p, sol.w, m, penalized=p.eq_soft
+        p, sol.w, m, penalized=sol.softened
     )
 
 
@@ -301,7 +309,7 @@ def test_rows_stacked_once_per_solve(monkeypatch):
     problems += [
         QpProblem(  # softened
             g=np.zeros(1), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
-            eq_soft=np.array([True]), ub_box=np.array([0.5]),
+            eq_soft=True, ub_box=np.array([0.5]),
         ),
         QpProblem(  # infeasible, certified by the least-violation LP
             g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]), ub_box=np.array([1.0, 1.0]),
@@ -354,7 +362,7 @@ def test_multipliers_are_one_vector_in_row_id_order():
         ]))
         assert np.all(lam[p.n_eq:] >= 0.0)
         assert np.all(lam[p.n_eq:][absent] == 0.0)
-        assert kkt_residuals(p, sol.w, lam, penalized=p.eq_soft if sol.softened else None) == (
+        assert kkt_residuals(p, sol.w, lam, penalized=sol.softened) == (
             sol.stationarity, sol.primal, sol.complementarity
         )
 
@@ -448,7 +456,8 @@ def projection_problems(draw):
     alpha = draw(grid(0.2, 1.5))
     lb_box = vec(n)
     ub_box = lb_box + vec(n, st.just(0.0) | grid(0.05, 1.5))
-    a_eq = b_eq = eq_soft = None
+    a_eq = b_eq = None
+    eq_soft = False
     if draw(st.booleans()):
         a_eq = vec(n)
         if draw(st.booleans()):
@@ -456,7 +465,7 @@ def projection_problems(draw):
             a_eq = np.where(off, vec(n, grid(-0.003, 0.003)), a_eq)
         a_eq = a_eq[None, :]
         b_eq = vec(1)
-        eq_soft = np.array([draw(st.booleans())])
+        eq_soft = draw(st.booleans())
     k = draw(st.integers(0, 3))
     a_in = np.reshape(vec(k * n), (k, n))
     mid = vec(k)
@@ -478,7 +487,7 @@ def test_property_matches_enumeration_oracle(p):
     if hard is not None:
         assert sol.status == STATUS_OPTIMAL and not sol.softened
         np.testing.assert_allclose(sol.w, hard[0], atol=1e-7)
-    elif np.any(p.eq_soft) and enumerate_qp(p, soften=True) is not None:
+    elif p.eq_soft and enumerate_qp(p, soften=True) is not None:
         assert sol.status == STATUS_OPTIMAL and sol.softened
     else:
         assert sol.status == STATUS_INFEASIBLE and sol.most_violated is not None
@@ -503,7 +512,7 @@ def test_oracle_feasibility_is_relative_to_w():
     # the pinned row read the oracle's own round-off as a violation
     p = QpProblem(
         g=np.zeros(2), alpha=0.334, a_eq=np.array([[0.05, 0.345]]), b_eq=np.array([0.0]),
-        eq_soft=np.array([True]), a_in=np.array([[0.0, 0.001]]), lb_in=np.array([0.182]),
+        eq_soft=True, a_in=np.array([[0.0, 0.001]]), lb_in=np.array([0.182]),
         ub_in=np.array([0.182]), lb_box=np.array([0.0, -np.inf]), ub_box=np.array([0.0, np.inf]),
     )
     assert enumerate_qp(p) is None
