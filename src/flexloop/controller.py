@@ -232,18 +232,19 @@ def controller_step(
 
     Returns the next setpoint vector and its telemetry record. The update is
     clipped to the device boxes so the emitted setpoints satisfy them
-    exactly. It raises nothing: it holds with an alarm if the setpoints
-    have the wrong shape or an entry beyond ``MAX_MEASURED_PU``, if the
-    config has no sensitivity, if the measurement or request is invalid (a
+    exactly. It raises nothing: it holds with an alarm if the setpoints are
+    complex, have the wrong shape or an entry beyond ``MAX_MEASURED_PU``, if
+    the config has no sensitivity, if the measurement or request is invalid (a
     non-finite or unphysical channel or timestamp, buses that do not match the
     monitored set, or a request that is not a real number, recorded as NaN) or
     if the projection has no feasible direction even after softening the
     tracking row. The projection starts from ``warm_start``, the previous
     record's ``active_mask`` (:func:`~flexloop.qp.solve_qp`).
     """
-    u = np.asarray(u, dtype=float)
+    complex_u = np.iscomplexobj(u)  # a float cast would drop the imaginary part, with a ComplexWarning
+    u = np.asarray(u, dtype=complex if complex_u else float)
     p_set_pu = real_request(p_set_pu)  # held below if NaN
-    if u.shape != cfg.u_min.shape or not np.all(np.abs(u) <= MAX_MEASURED_PU):
+    if complex_u or u.shape != cfg.u_min.shape or not np.all(np.abs(u) <= MAX_MEASURED_PU):
         return u.copy(), _record(u, y, p_set_pu, "held_invalid_setpoints")
     if cfg.sensitivity is None:
         return u.copy(), _record(u, y, p_set_pu, "held_invalid_config")

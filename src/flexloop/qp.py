@@ -31,7 +31,8 @@ into the objective as a quadratic penalty with weight ``rho``, and the
 residual is reported as slack. If the remaining hard constraints are still
 inconsistent the result is an infeasibility certificate naming the
 maximally violated row at the least-violation point, the one LP the solver
-runs.
+runs. That LP is SciPy's HiGHS (:func:`linprog`), imported at the first
+certificate, so a run that never certifies loads no ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import linprog
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -235,6 +235,14 @@ class _Rows:
         return self._stage(lambda x: 0.5 * (x - (x @ Es.T) @ K))
 
 
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported at the first call: the
+    import costs ~20 MB of RSS and ~0.2 s that only an infeasibility certificate needs."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _least_violation(E: np.ndarray, b: np.ndarray, G: np.ndarray, h: np.ndarray):
     """Chebyshev-style least-infeasible point: min s, all violations <= s."""
     rows = np.vstack([G, E, -E])
@@ -354,14 +362,15 @@ def _dual_solve(NH_all: np.ndarray, w_free: np.ndarray, N: np.ndarray, h: np.nda
         L, size = shrink(n_eq + int(shrinking[drop]))
 
 
-def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized: bool):
-    """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``."""
+def _kkt(p: QpProblem, N: np.ndarray, h: np.ndarray, w: np.ndarray, lam: np.ndarray, penalized: bool,
+         r: np.ndarray):
+    """:func:`kkt_residuals` over the stacked rows ``N w <= h`` of ``p``,
+    given their residual ``r = N w - h``."""
     grad = 2.0 * (w + p.g)
     m = p.n_eq
     if penalized:
         grad = grad + 2.0 * p.rho * (N[:m].T @ (N[:m] @ w - p.b_eq))
     stationarity = float(np.max(np.abs(grad + N.T @ lam), initial=0.0))
-    r = N @ w - h  # -inf on absent bounds
     primal = max(np.max(np.abs(r[: 0 if penalized else m]), initial=0.0), np.max(r[m:], initial=0.0))
     gap = np.where(np.isfinite(h[m:]), r[m:], 0.0)
     comp = float(np.max(np.abs(lam[m:] * gap), initial=0.0))
@@ -378,7 +387,8 @@ def kkt_residuals(
     ``penalized`` (:attr:`QpSolution.softened`) says the equality rows were a
     quadratic penalty: they give a gradient term, not a primal residual.
     """
-    return _kkt(p, p._rows.N, _rhs(p), np.asarray(w, dtype=float), np.asarray(multipliers, dtype=float), penalized)
+    N, h, w = p._rows.N, _rhs(p), np.asarray(w, dtype=float)
+    return _kkt(p, N, h, w, np.asarray(multipliers, dtype=float), penalized, N @ w - h)
 
 
 def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int = 0) -> QpSolution:
@@ -424,11 +434,12 @@ def solve_qp(problem: QpProblem, *, max_iter: int | None = None, warm_start: int
         cap_iters += iters
         if status == STATUS_INFEASIBLE:
             continue
-        stat, primal, comp = _kkt(p, rows.N, h, w, lam, soften)
+        r = rows.N @ w - h  # -inf on absent bounds
+        stat, primal, comp = _kkt(p, rows.N, h, w, lam, soften, r)
         size = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
         if status == STATUS_OPTIMAL and max(stat / size, primal, comp / size) > KKT_TOL:
             status = STATUS_MAX_ITER  # uncertified result, do not overclaim
-        binding = np.abs(rows.N @ w - h) <= ACTIVE_TOL
+        binding = np.abs(r) <= ACTIVE_TOL
         binding[:m] = not soften
         return QpSolution(
             w=w,

@@ -274,12 +274,14 @@ def test_numeric_string_request_steps_like_its_number(lab_net, lab_devices, sens
 
 @pytest.mark.parametrize(
     "u",
-    [np.zeros(3), np.array([0.01, np.nan, 0.0, 0.0]), np.full(4, 1e308)],
-    ids=["wrong-shape", "nan-entry", "huge-entry"],
+    [np.zeros(3), np.array([0.01, np.nan, 0.0, 0.0]), np.full(4, 1e308), np.zeros(4, dtype=complex),
+     np.array([1e-3 + 1j, 0.0, 0.0, 0.0]), [0.01, 0.0, 0.02 + 0j, 0.0]],
+    ids=["wrong-shape", "nan-entry", "huge-entry", "complex-zeros", "complex-entry", "list-with-complex"],
 )
 def test_invalid_setpoints_hold_with_alarm(lab_net, lab_devices, sens, u):
     # 1e308 used to overflow objective_gradient, leak a RuntimeWarning and
-    # raise from the QP's sample check
+    # raise from the QP's sample check; complex setpoints used to step on
+    # their real part with a ComplexWarning
     cfg = _cfg(lab_net, lab_devices, sens)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -431,20 +433,25 @@ def configs(lab_net, lab_devices, sens):
     as_lists=st.booleans(),
     warm_start=st.integers(0, 2**17 - 1),
     non_real=st.none() | st.sampled_from(sorted(_NON_REAL)),
+    imag=st.none() | st.sampled_from([0.0, 1.0]),
 )
 def test_property_controller_step_holds_or_stays_in_the_box(
-    configs, which, u, v, inputs, faults, reshape, as_lists, warm_start, non_real
+    configs, which, u, v, inputs, faults, reshape, as_lists, warm_start, non_real, imag
 ):
     # Clean inputs with faults drawn into them: an extreme value (NaN,
     # +/-inf, +/-1e308 or the bound itself) in any of the ten channels
     # (four setpoints, four voltages, the PCC power and the request) or the
-    # timestamp, a wrong shape, a foreign bus or a request that is not a
+    # timestamp, a wrong shape, a foreign bus, complex setpoints (a zero or
+    # a unit imaginary part on the first entry) or a request that is not a
     # real number; a config may have no sensitivity.
     cfg = configs[which]
     channels = u + v + list(inputs) + [0.0]
     for i, x in faults:
         channels[i] = x
     u, v, bus_ids = channels[:4], channels[4:8], cfg.monitored
+    if imag is not None:
+        u = [complex(x) for x in u]
+        u[0] += imag * 1j
     if reshape:
         u, v, bus_ids = _RESHAPES[reshape](u, v, bus_ids)
     if not as_lists:
@@ -454,8 +461,8 @@ def test_property_controller_step_holds_or_stays_in_the_box(
         warnings.simplefilter("error")
         u_next, rec = controller_step(u, y, channels[9] if non_real is None else _NON_REAL[non_real], cfg, warm_start)
 
-    u = np.asarray(u, dtype=float)
-    valid = (cfg.sensitivity is not None and reshape is None and non_real is None
+    u = np.asarray(u)
+    valid = (cfg.sensitivity is not None and reshape is None and non_real is None and imag is None
              and np.all(np.abs(channels[:10]) <= MAX_MEASURED_PU) and np.isfinite(channels[10]))
     assert rec.qp_status.startswith("held_invalid") != valid
     assert rec.alarm == rec.qp_status.startswith("held_")

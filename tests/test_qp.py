@@ -1,5 +1,9 @@
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +509,46 @@ def test_no_lp_on_feasible_problems(monkeypatch, lab_net, lab_devices, exp_a):
     for trial in range(40):
         p = _random_problem(rng, int(rng.integers(2, 7)), with_eq=trial % 2 == 0, soft=trial % 4 == 0)
         assert solve_qp(p).status == STATUS_OPTIMAL
+
+
+_LAZY_LP_SCRIPT = textwrap.dedent("""
+    import contextlib, io, sys, tempfile
+    import numpy as np
+    from flexloop import cli
+    from flexloop.controller import ControllerConfig
+    from flexloop.fileio import parse_network_file, parse_scenario_file
+    from flexloop.grid import build_devices, build_network
+    from flexloop.harness import InfeasibleRequestError, reference_opf, run_closed_loop
+    from flexloop.plant import PlantConfig
+    from flexloop.qp import STATUS_INFEASIBLE, QpProblem, solve_qp
+
+    spec = parse_network_file("flexloop/data/lv_feeder_5bus.net")
+    net = build_network(spec)
+    devices = build_devices(spec, net)
+    for name in ("exp_a_14p5kw", "exp_b_ev_disturbance"):
+        run_closed_loop(net, devices, parse_scenario_file(f"flexloop/data/{name}.scn"),
+                        ControllerConfig.for_network(net, devices), PlantConfig())
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--mode", "compare-oracle", "--scenario", "exp_a_14p5kw", "--out", out]) == 0
+    try:
+        reference_opf(net, devices, p_set_pu=-0.60)
+        raise AssertionError("the -60 kW request was reached")
+    except InfeasibleRequestError:
+        pass
+    assert "scipy.optimize" not in sys.modules, "loaded before any infeasibility certificate"
+    p = QpProblem(g=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]), ub_box=np.array([1.0, 1.0]))
+    sol = solve_qp(p)
+    assert sol.status == STATUS_INFEASIBLE and sol.most_violated == 0
+    assert "scipy.optimize" in sys.modules
+""")
+
+
+def test_highs_loads_at_the_first_certificate_only():
+    # a fresh interpreter: this one has scipy.optimize from tests/oracles.py
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _LAZY_LP_SCRIPT],
+                          cwd=src, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_feasibility_is_relative_to_w():
